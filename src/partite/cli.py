@@ -7,7 +7,8 @@ LF-terminated with single spaces and no trailing whitespace, so identical
 objects always serialize to identical bytes.
 
 Exit codes: 0 = success / property holds, 1 = property fails (witness on
-stdout), 2 = usage, parse, or parameter error.
+stdout), 2 = usage, parse, or parameter error, or a size above
+core.SIZE_LIMIT.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import BlockFamily, Params
+from .core import BlockFamily, Params, check_size
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
     exact decomposition.
     """
     params = Params(k, n, ell)
+    check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
     if ell < 2:
         raise ValueError(f"ell >= 2 required for the polynomial construction (ell={ell})")
     if n < k:
@@ -117,6 +118,7 @@ def construct(k: int, n: int, ell: int) -> BlockFamily:
     blocks (a,..,a) hit every single vertex exactly once.
     """
     params = Params(k, n, ell)
+    check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
     if ell == 1:
         return BlockFamily(params, tuple((a,) * k for a in range(1, n + 1)))
     if n < k:

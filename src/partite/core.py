@@ -17,6 +17,32 @@ from typing import Iterable, Sequence
 Block = tuple[int, ...]
 IndexSet = tuple[int, ...]
 
+# Largest count table, coordinate column, cube volume or output symbol count
+# any command allocates; (7, 49, 3) needs 7 * 49^3 = 823,543 output symbols.
+SIZE_LIMIT = 1 << 20
+
+
+def capped_power(base: int, exponent: int, factor: int = 1, limit: int = SIZE_LIMIT) -> int:
+    """factor * base**exponent when that is at most limit, else some value above limit.
+
+    Multiplies one base at a time and stops at the first partial product over
+    the limit, so an over-large request never forms the huge power.  base >= 1.
+    """
+    size = factor
+    for _ in range(exponent if base > 1 else 0):
+        if size > limit:
+            break
+        size *= base
+    return size
+
+
+def check_size(name: str, base: int, exponent: int, factor: int = 1) -> int:
+    """factor * base**exponent, or ValueError naming `name` and SIZE_LIMIT above it."""
+    size = capped_power(base, exponent, factor)
+    if size > SIZE_LIMIT:
+        raise ValueError(f"{name} exceeds the size limit {SIZE_LIMIT}")
+    return size
+
 
 @dataclass(frozen=True)
 class Params:
@@ -139,6 +165,8 @@ class CubeSet:
     cubes: tuple[LatinCube, ...]
 
     def __post_init__(self) -> None:
+        if self.d < 1 or self.n < 1:
+            raise ValueError(f"cube dimensions must be positive (d={self.d}, n={self.n})")
         for i, cube in enumerate(self.cubes, start=1):
             if (cube.d, cube.n) != (self.d, self.n):
                 raise ValueError(

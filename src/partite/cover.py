@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .construct import construct, smallest_blocking_prime
-from .core import BlockFamily, Params, enumerate_index_sets
+from .core import BlockFamily, Params, capped_power, check_size, enumerate_index_sets
 
 SEARCH_VOLUME_GUARD = 4096
 DEFAULT_BUDGET = 1_000_000
@@ -66,6 +66,8 @@ def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
 def lifting_order(k: int, n: int, ell: int) -> int:
     """The order the exact construction actually runs at for these parameters."""
     Params(k, n, ell)
+    # n' >= n, so this bounds k and n before factoring n or sieving below k
+    check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
     if ell == 1:
         return n
     if n >= k and smallest_blocking_prime(n, k) is None:
@@ -99,10 +101,12 @@ def exact_cover_size(
     uncovered count there (at the root this is the n^ell lower bound).
     """
     params = Params(k, n, ell)
-    if n**k > SEARCH_VOLUME_GUARD:
+    if capped_power(n, k, limit=SEARCH_VOLUME_GUARD) > SEARCH_VOLUME_GUARD:
         raise ValueError(
-            f"search volume n^k = {n**k} exceeds guard {SEARCH_VOLUME_GUARD}"
+            f"search volume n^k = {n}^{k} exceeds guard {SEARCH_VOLUME_GUARD}"
         )
+    # the C(k, ell) * n^ell pairs to cover, bounded without forming C(k, ell)
+    check_size(f"(k*n)^l = ({k}*{n})^{ell}", k * n, ell)
 
     index_sets = enumerate_index_sets(params)
     n_sets = len(index_sets)

@@ -17,6 +17,7 @@ from .core import (
     LatinCube,
     Params,
     Verdict,
+    check_size,
     flatten_coords,
     unflatten_index,
 )
@@ -72,6 +73,7 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     leave projections uncovered.
     """
     d, n = cube_set.d, cube_set.n
+    check_size(f"n^d = {n}^{d}", n, d)
     tables = [cube.table for cube in cube_set.cubes]
     blocks = []
     for flat in range(n**d):

@@ -1,51 +1,73 @@
-"""Exhaustive projection-counting checks for block families and cube systems.
+"""One projection-counting kernel behind all five checks.
 
-Every check is a pure function over immutable inputs, and every failure
-witness is the lexicographically first offending (index set, value tuple)
-pair, so verdicts do not depend on block order or scheduling.
+The kernel projects rows onto each subset of columns in turn, counts the hits
+on every value tuple (cell), capped at 2, and returns the first cell whose
+count is not allowed.  The checks differ only in what they pass: the block
+positions (exact, cover), the grid axes then the value (Latin), the cube
+tables (orthogonal), or the lift, tables then axes (invertible; by the
+paper's main theorem, exactness of the lift).  Witness rule: subsets in the
+order given and cells in row-major order, so a witness is the
+lexicographically first offending (subset, value tuple) whatever the row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, repeat
+from operator import add, itemgetter
 
-from .core import (
-    BlockFamily,
-    CubeSet,
-    LatinCube,
-    Verdict,
-    VerifyReport,
-    Witness,
-    enumerate_index_sets,
-    unflatten_index,
-)
+from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
+from .core import check_size, enumerate_index_sets, unflatten_index
 
 
-def _projection_counts(family: BlockFamily, index_set: tuple[int, ...]) -> bytearray:
-    """Per-tuple hit counts of the family projected onto index_set, saturated at 2."""
-    n = family.params.n
-    counts = bytearray(n ** len(index_set))
-    offsets = [s - 1 for s in index_set]
-    for block in family.blocks:
-        idx = 0
-        for o in offsets:
-            idx = idx * n + (block[o] - 1)
-        if counts[idx] < 2:
-            counts[idx] += 1
-    return counts
+def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None:
+    """First (subset, cell, count capped at 2) whose count is not in allowed, or None.
+
+    column(c) runs once per column, when a subset first needs it.  Keys use the
+    1-based symbols as digits, so the table starts at the key of (1, ..., 1).
+    A table of n^w cells above core.SIZE_LIMIT raises ValueError unallocated.
+    """
+    column, prefix, scaled = cache(column), None, None
+    allowed_bytes = bytes(allowed)
+    for subset in subsets:
+        width = len(subset)
+        size = check_size(f"n^{width} = {n}^{width}", n, width)
+        if subset[:-1] != prefix:  # lexicographic subsets share their prefix keys
+            prefix, scaled = subset[:-1], repeat(0)
+            for c in prefix:
+                scaled = [(key + v) * n for key, v in zip(scaled, column(c))]
+        offset = (size - 1) // (n - 1) if n > 1 else width
+        counts = bytearray(offset + size)
+        for key in map(add, scaled, column(subset[-1])):
+            if counts[key] < 2:
+                counts[key] += 1
+        rest = counts[offset:].lstrip(allowed_bytes)
+        if rest:
+            return Witness(subset, unflatten_index(size - len(rest), n, width), rest[0])
+    return None
+
+
+def _block_projections(family: BlockFamily):
+    """Kernel arguments for a family: its block positions and every ell-subset."""
+    blocks, params = family.blocks, family.params
+    return lambda c: list(map(itemgetter(c - 1), blocks)), enumerate_index_sets(params), params.n
+
+
+def _lift_columns(tables, d: int, n: int):
+    """Columns of the lift: the tables, then the d grid axes (last axis fastest)."""
+    m = len(tables)
+    return lambda c: tables[c - 1] if c <= m else (
+        [x for x in range(1, n + 1) for _ in range(n ** (d + m - c))] * n ** (c - m - 1))
+
+
+def _report(witness: Witness | None, verdict: Verdict = Verdict.FAIL) -> VerifyReport:
+    return VerifyReport(Verdict.EXACT if witness is None else verdict, witness)
 
 
 def is_l_extendable(family: BlockFamily) -> VerifyReport:
     """Exact iff every value tuple at every index set is hit by exactly one block."""
-    n, ell = family.params.n, family.params.ell
-    for index_set in enumerate_index_sets(family.params):
-        counts = _projection_counts(family, index_set)
-        for flat, count in enumerate(counts):
-            if count != 1:
-                witness = Witness(index_set, unflatten_index(flat, n, ell), count)
-                return VerifyReport(Verdict.FAIL, witness)
-    return VerifyReport(Verdict.EXACT)
+    return _report(_first_offense(*_block_projections(family), {1}))
 
 
 def is_decomposition(family: BlockFamily) -> VerifyReport:
@@ -59,19 +81,11 @@ def is_covering(family: BlockFamily) -> VerifyReport:
     A Fail witness is the first uncovered pair; a CoverOnly report carries the
     first multiply-covered pair as an explanatory witness.
     """
-    n, ell = family.params.n, family.params.ell
-    first_dup: Witness | None = None
-    for index_set in enumerate_index_sets(family.params):
-        counts = _projection_counts(family, index_set)
-        for flat, count in enumerate(counts):
-            if count == 0:
-                witness = Witness(index_set, unflatten_index(flat, n, ell), 0)
-                return VerifyReport(Verdict.FAIL, witness)
-            if count > 1 and first_dup is None:
-                first_dup = Witness(index_set, unflatten_index(flat, n, ell), 2)
-    if first_dup is not None:
-        return VerifyReport(Verdict.COVER_ONLY, first_dup)
-    return VerifyReport(Verdict.EXACT)
+    projections = _block_projections(family)
+    miss = _first_offense(*projections, {1, 2})
+    if miss is not None:
+        return _report(miss)
+    return _report(_first_offense(*projections, {0, 1}), Verdict.COVER_ONLY)
 
 
 @dataclass(frozen=True)
@@ -85,17 +99,12 @@ class LatinCheck:
 
 def is_latin(cube: LatinCube) -> LatinCheck:
     """True iff every axis-parallel line of the table is a permutation of {1..n}."""
-    d, n = cube.d, cube.n
-    full = frozenset(range(1, n + 1))
-    for axis in range(1, d + 1):
-        for fixed in product(range(1, n + 1), repeat=d - 1):
-            line = set()
-            for j in range(1, n + 1):
-                coords = fixed[: axis - 1] + (j,) + fixed[axis - 1 :]
-                line.add(cube.value(coords))
-            if line != full:
-                return LatinCheck(False, axis, fixed)
-    return LatinCheck(True)
+    d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
+    lines = [tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1)]
+    witness = _first_offense(_lift_columns([cube.table], d, cube.n), lines, cube.n, {1})
+    if witness is None:
+        return LatinCheck(True)
+    return LatinCheck(False, lines.index(witness.index_set) + 1, witness.values[:-1])
 
 
 @dataclass(frozen=True)
@@ -118,29 +127,16 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
     m = len(cube_set.cubes)
     if m < d:
         raise ValueError(f"orthogonality needs at least d={d} cubes, got {m}")
-    volume = n**d
-    for subset in combinations(range(m), d):
-        counts = bytearray(volume)
-        tables = [cube_set.cubes[i].table for i in subset]
-        for flat in range(volume):
-            image = 0
-            for table in tables:
-                image = image * n + (table[flat] - 1)
-            if counts[image] < 2:
-                counts[image] += 1
-        for image, count in enumerate(counts):
-            if count != 1:
-                return OrthogonalityCheck(
-                    False,
-                    tuple(i + 1 for i in subset),
-                    unflatten_index(image, n, d),
-                    count,
-                )
-    return OrthogonalityCheck(True)
+    tables = [cube.table for cube in cube_set.cubes]
+    w = _first_offense(_lift_columns(tables, d, n), combinations(range(1, m + 1), d), n, {1})
+    if w is None:
+        return OrthogonalityCheck(True)
+    return OrthogonalityCheck(False, w.index_set, w.values, w.multiplicity)
 
 
 def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     """Exact iff the lifted family (cube values, then coordinates) is extendable."""
-    from .cubes import lift_cubes  # deferred: cubes depends on this module
-
-    return is_l_extendable(lift_cubes(cube_set))
+    d, n = cube_set.d, cube_set.n
+    tables = [cube.table for cube in cube_set.cubes]
+    subsets = combinations(range(1, len(tables) + d + 1), d)
+    return _report(_first_offense(_lift_columns(tables, d, n), subsets, n, {1}))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from partite import BlockFamily, CubeSet, construct, orthogonal_not_invertible_cubes
@@ -242,3 +244,44 @@ def test_minsearch_budget_exhaustion(capsys):
 
 def test_minsearch_guard_exits_2(capsys):
     assert main(["minsearch", "--k", "13", "--n", "2", "--l", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "header, argv, power",
+    [
+        ("blocks 3 100000 3 1\n1 1 1\n", ["verify", "--mode", "exact"], "n^3 = 100000^3"),
+        ("blocks 3 100000 3 1\n1 1 1\n", ["verify", "--mode", "cover"], "n^3 = 100000^3"),
+        ("cubes 3 100000 0\n", ["cubes", "--check", "invertible"], "n^3 = 100000^3"),
+        ("cubes 3 100000 0\n", ["cubes", "--action", "lift", "-o", "x"], "n^d = 100000^3"),
+        ("cubes 2 100000 0\n", ["cubes", "--action", "mols2blocks", "-o", "x"], "n^d"),
+    ],
+)
+def test_over_large_input_files_exit_2(tmp_path, capsys, header, argv, power):
+    path = tmp_path / "big"
+    path.write_text(header)
+    argv = [argv[0], str(path)] + [str(tmp_path / a) if a == "x" else a for a in argv[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert power in err and "exceeds the size limit 1048576" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--k", "3", "--n", "10007", "--l", "3"], "k*n^l = 3*10007^3"),
+        (["cover", "--k", "100000", "--n", "1", "--l", "2"], "k*n^l = 100000*100003^2"),
+        (["cover", "--k", "3", "--n", "1000000000000000003", "--l", "2"], "k*n^l"),
+        (["minsearch", "--k", "100000000", "--n", "3", "--l", "2"], "exceeds guard 4096"),
+        (["minsearch", "--k", "100000", "--n", "1", "--l", "2"], "(k*n)^l"),
+    ],
+)
+def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.blocks"
+    if argv[0] == "construct":
+        argv = argv + ["-o", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    assert not out.exists()

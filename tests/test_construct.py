@@ -79,6 +79,14 @@ def test_polynomial_family_rejects_composite_order():
         vandermonde_blocks(4, 6, 2)
 
 
+def test_builders_refuse_sizes_above_the_limit():
+    # 10007 is prime and admissible, so only the size stops these
+    with pytest.raises(ValueError, match=r"k\*n\^l = 3\*10007\^3 exceeds the size limit"):
+        vandermonde_blocks(3, 10007, 3)
+    with pytest.raises(ValueError, match="size limit"):
+        construct(3, 10007, 3)
+
+
 def test_polynomial_family_rejects_order_below_k():
     with pytest.raises(ValueError, match="n >= k"):
         vandermonde_blocks(5, 3, 2)

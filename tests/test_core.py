@@ -12,6 +12,7 @@ from partite import (
     unflatten_index,
     validate_params,
 )
+from partite.core import SIZE_LIMIT, capped_power, check_size
 
 
 def test_validate_params_accepts_valid_triple():
@@ -114,3 +115,27 @@ def test_cube_set_rejects_mismatched_members():
 def test_cube_set_allows_empty():
     empty = CubeSet(2, 3, ())
     assert empty.cubes == ()
+
+
+def test_cube_set_rejects_empty_geometry():
+    with pytest.raises(ValueError, match="positive"):
+        CubeSet(0, 3, ())
+    with pytest.raises(ValueError, match="positive"):
+        CubeSet(2, 0, ())
+
+
+def test_size_limit_admits_the_largest_workload():
+    assert check_size("k*n^l", 49, 3, factor=7) == 7 * 49**3 <= SIZE_LIMIT
+
+
+def test_capped_power_stops_past_the_limit():
+    assert capped_power(3, 4, factor=2) == 162
+    assert SIZE_LIMIT < capped_power(3, 10**8) <= 3 * SIZE_LIMIT
+    assert capped_power(1, 10**12, factor=5) == 5
+    assert capped_power(2, 13, limit=4096) > 4096
+    assert capped_power(2, 12, limit=4096) == 4096
+
+
+def test_check_size_names_the_power_and_the_limit():
+    with pytest.raises(ValueError, match=r"n\^l = 10\^7 exceeds the size limit 1048576"):
+        check_size("n^l = 10^7", 10, 7)

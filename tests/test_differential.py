@@ -1,0 +1,145 @@
+"""Differential tests: every check against the nested-loop oracles in helpers.
+
+Families and cube systems are small and drawn by Hypothesis with a fixed
+derandomized seed, so the suite stays deterministic.  Damaged inputs start
+from exact constructions and get one change each: a changed symbol, a
+dropped or duplicated block, a swapped cube entry, or no blocks at all.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    first_latin_offense,
+    first_orthogonal_offense,
+    first_projection_offense,
+    lifted_family,
+)
+
+from partite import (
+    BlockFamily,
+    CubeSet,
+    LatinCube,
+    Params,
+    Verdict,
+    are_mutually_orthogonal,
+    construct,
+    extract_cubes,
+    is_covering,
+    is_l_extendable,
+    is_latin,
+    is_mutually_invertible,
+)
+
+EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)
+
+# (k, n, ell) with an exact construction small enough for the oracles
+EXACT = [(2, 3, 2), (3, 3, 2), (4, 5, 2), (5, 5, 2), (3, 2, 1), (3, 3, 3), (4, 5, 3)]
+
+
+@st.composite
+def random_families(draw):
+    ell = draw(st.integers(1, 3))
+    k = draw(st.integers(ell, 4))
+    n = draw(st.integers(1, 3))
+    block = st.tuples(*[st.integers(1, n)] * k)
+    blocks = draw(st.lists(block, max_size=n**ell + 3))
+    return BlockFamily(Params(k, n, ell), tuple(blocks))
+
+
+@st.composite
+def damaged_families(draw):
+    k, n, ell = draw(st.sampled_from(EXACT))
+    family = construct(k, n, ell)
+    blocks = list(family.blocks)
+    damage = draw(st.sampled_from(["none", "symbol", "drop", "duplicate", "empty"]))
+    i = draw(st.integers(0, len(blocks) - 1))
+    if damage == "symbol":
+        pos = draw(st.integers(0, k - 1))
+        symbol = draw(st.integers(1, n))
+        blocks[i] = blocks[i][:pos] + (symbol,) + blocks[i][pos + 1 :]
+    elif damage == "drop":
+        del blocks[i]
+    elif damage == "duplicate":
+        blocks.insert(draw(st.integers(0, len(blocks))), blocks[i])
+    elif damage == "empty":
+        blocks = []
+    return BlockFamily(family.params, tuple(blocks))
+
+
+families = st.one_of(random_families(), damaged_families())
+
+
+@st.composite
+def cube_sets(draw):
+    if draw(st.booleans()):
+        k, n, d = draw(st.sampled_from([t for t in EXACT if t[2] >= 2]))
+        extracted = extract_cubes(construct(k, n, d), tuple(range(k - d + 1, k + 1)))
+        tables = [list(cube.table) for cube in extracted.cubes]
+    else:
+        d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cell = st.integers(1, n)
+        tables = draw(st.lists(st.lists(cell, min_size=n**d, max_size=n**d), max_size=3))
+    if tables and draw(st.booleans()):
+        table = draw(st.sampled_from(tables))
+        i, j = draw(st.integers(0, n**d - 1)), draw(st.integers(0, n**d - 1))
+        table[i], table[j] = table[j], table[i]
+    return CubeSet(d, n, tuple(LatinCube(d, n, tuple(t)) for t in tables))
+
+
+def _triple(witness):
+    return None if witness is None else (witness.index_set, witness.values, witness.multiplicity)
+
+
+@EXAMPLES
+@given(families)
+def test_exactness_matches_oracle(family):
+    report = is_l_extendable(family)
+    expected = first_projection_offense(family)
+    assert _triple(report.witness) == expected
+    assert report.verdict is (Verdict.EXACT if expected is None else Verdict.FAIL)
+
+
+@EXAMPLES
+@given(families)
+def test_covering_matches_oracle(family):
+    report = is_covering(family)
+    miss = first_projection_offense(family, allowed=(1, 2))
+    dup = first_projection_offense(family, allowed=(0, 1))
+    if miss is not None:
+        assert (report.verdict, _triple(report.witness)) == (Verdict.FAIL, miss)
+    elif dup is not None:
+        assert (report.verdict, _triple(report.witness)) == (Verdict.COVER_ONLY, dup)
+    else:
+        assert (report.verdict, report.witness) == (Verdict.EXACT, None)
+
+
+@EXAMPLES
+@given(cube_sets())
+def test_latin_matches_oracle(cube_set):
+    for cube in cube_set.cubes:
+        check = is_latin(cube)
+        expected = first_latin_offense(cube)
+        assert check.ok is (expected is None)
+        assert (None if check.ok else (check.axis, check.fixed)) == expected
+
+
+@EXAMPLES
+@given(cube_sets())
+def test_orthogonality_matches_oracle(cube_set):
+    if len(cube_set.cubes) < cube_set.d:
+        return  # refused with ValueError; covered in test_verify
+    check = are_mutually_orthogonal(cube_set)
+    expected = first_orthogonal_offense(cube_set)
+    assert check.ok is (expected is None)
+    if expected is not None:
+        assert (check.cubes, check.values, check.multiplicity) == expected
+
+
+@EXAMPLES
+@given(cube_sets())
+def test_invertibility_matches_oracle_on_the_lift(cube_set):
+    report = is_mutually_invertible(cube_set)
+    expected = first_projection_offense(lifted_family(cube_set))
+    assert _triple(report.witness) == expected
+    assert report.verdict is (Verdict.EXACT if expected is None else Verdict.FAIL)
