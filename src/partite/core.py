@@ -25,12 +25,13 @@ SIZE_LIMIT = 1 << 20
 def capped_power(base: int, exponent: int, factor: int = 1, limit: int = SIZE_LIMIT) -> int:
     """factor * base**exponent when that is at most limit, else some value above limit.
 
-    Multiplies one base at a time and stops at the first partial product over
-    the limit, so an over-large request never forms the huge power.  base >= 1.
+    Multiplies one base at a time and stops once a partial product is 0 or over
+    the limit, so an over-large request never forms the huge power.  All
+    arguments >= 0.
     """
     size = factor
-    for _ in range(exponent if base > 1 else 0):
-        if size > limit:
+    for _ in range(exponent if base != 1 else 0):
+        if not 0 < size <= limit:
             break
         size *= base
     return size
@@ -140,10 +141,12 @@ class LatinCube:
     def __post_init__(self) -> None:
         if self.d < 1 or self.n < 1:
             raise ValueError(f"cube dimensions must be positive (d={self.d}, n={self.n})")
-        if len(self.table) != self.n**self.d:
-            raise ValueError(
-                f"table has {len(self.table)} entries, expected n^d = {self.n**self.d}"
-            )
+        entries = len(self.table)
+        limit = max(entries, SIZE_LIMIT)  # n^d up to the limit comes back exact
+        volume = capped_power(self.n, self.d, limit=limit)
+        if volume != entries:
+            expected = volume if volume <= limit else f"{self.n}^{self.d}"
+            raise ValueError(f"table has {entries} entries, expected n^d = {expected}")
         for v in self.table:
             if not 1 <= v <= self.n:
                 raise ValueError(f"symbol {v} outside 1..{self.n}")

@@ -7,6 +7,8 @@ The two are inverse to each other at the canonical (last ell) positions.
 
 from __future__ import annotations
 
+from itertools import product, repeat
+from operator import add
 from pathlib import Path
 
 from . import verify
@@ -19,7 +21,6 @@ from .core import (
     Verdict,
     check_size,
     flatten_coords,
-    unflatten_index,
 )
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -73,14 +74,12 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     leave projections uncovered.
     """
     d, n = cube_set.d, cube_set.n
-    check_size(f"n^d = {n}^{d}", n, d)
+    volume = check_size(f"n^d = {n}^{d}", n, d)
     tables = [cube.table for cube in cube_set.cubes]
-    blocks = []
-    for flat in range(n**d):
-        coords = unflatten_index(flat, n, d)
-        blocks.append(tuple(table[flat] for table in tables) + coords)
+    values = zip(*tables) if tables else repeat((), volume)
+    grid = product(range(1, n + 1), repeat=d)  # row-major, like the tables
     params = Params(len(tables) + d, n, d)
-    return BlockFamily(params, tuple(sorted(blocks)))
+    return BlockFamily(params, tuple(sorted(map(add, values, grid))))
 
 
 def mols_to_blocks(squares: CubeSet) -> BlockFamily:

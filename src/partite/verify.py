@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, repeat
+from itertools import combinations, dropwhile, repeat
 from operator import add, itemgetter
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
-from .core import check_size, enumerate_index_sets, unflatten_index
+from .core import check_size, unflatten_index
 
 
 def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None:
@@ -49,9 +49,9 @@ def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None
 
 
 def _block_projections(family: BlockFamily):
-    """Kernel arguments for a family: its block positions and every ell-subset."""
-    blocks, params = family.blocks, family.params
-    return lambda c: list(map(itemgetter(c - 1), blocks)), enumerate_index_sets(params), params.n
+    """Kernel arguments for a family: its block positions and every ell-subset, lazily."""
+    blocks, p = family.blocks, family.params
+    return lambda c: list(map(itemgetter(c - 1), blocks)), combinations(range(1, p.k + 1), p.ell), p.n
 
 
 def _lift_columns(tables, d: int, n: int):
@@ -81,11 +81,13 @@ def is_covering(family: BlockFamily) -> VerifyReport:
     A Fail witness is the first uncovered pair; a CoverOnly report carries the
     first multiply-covered pair as an explanatory witness.
     """
-    projections = _block_projections(family)
-    miss = _first_offense(*projections, {1, 2})
-    if miss is not None:
-        return _report(miss)
-    return _report(_first_offense(*projections, {0, 1}), Verdict.COVER_ONLY)
+    first = _first_offense(*_block_projections(family), {1})
+    if first is None or first.multiplicity == 0:  # Exact, or the first MISS
+        return _report(first)
+    # the first DUP: no MISS comes before its index set, so look from there on
+    column, subsets, n = _block_projections(family)
+    miss = _first_offense(column, dropwhile(first.index_set.__ne__, subsets), n, {1, 2})
+    return _report(miss) if miss is not None else _report(first, Verdict.COVER_ONLY)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Brute-force oracles shared across test modules.
 
 These deliberately re-count projections cell by cell with nested loops, so
-they stay independent of the library's bucket-counting passes.
+they stay independent of the library's bucket-counting passes.  The text
+format oracles convert and join one token at a time.
 """
 
 from itertools import combinations, product
@@ -87,3 +88,52 @@ def covers_every_pair(blocks, k, n, ell):
 def square(rows) -> LatinCube:
     """Build an order-len(rows) square from nested row lists."""
     return LatinCube(2, len(rows), tuple(v for row in rows for v in row))
+
+
+def format_blocks_reference(family: BlockFamily) -> str:
+    """The block file, one str() per symbol."""
+    p = family.params
+    lines = [f"blocks {p.k} {p.n} {p.ell} {len(family.blocks)}"]
+    lines.extend(" ".join(str(v) for v in block) for block in family.blocks)
+    return "\n".join(lines) + "\n"
+
+
+def parse_blocks_reference(text: str) -> BlockFamily:
+    """A block file read back with one int() per token."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty block file")
+    header = lines[0].split()
+    if len(header) != 5 or header[0] != "blocks":
+        raise ValueError(f"bad block header: {lines[0]!r}")
+    k, n, ell, count = (int(tok) for tok in header[1:])
+    if len(lines) - 1 != count:
+        raise ValueError(f"header says {count} blocks, file has {len(lines) - 1}")
+    blocks = [tuple(int(tok) for tok in line.split()) for line in lines[1:]]
+    return BlockFamily(Params(k, n, ell), tuple(blocks))
+
+
+def format_cubes_reference(cube_set: CubeSet) -> str:
+    """The cube file, one str() per value, n values a line."""
+    d, n = cube_set.d, cube_set.n
+    lines = [f"cubes {d} {n} {len(cube_set.cubes)}"]
+    for cube in cube_set.cubes:
+        for start in range(0, len(cube.table), n):
+            lines.append(" ".join(str(v) for v in cube.table[start : start + n]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_cubes_reference(text: str) -> CubeSet:
+    """A cube file read back with one int() per token; small headers only."""
+    tokens = text.split()
+    if len(tokens) < 4 or tokens[0] != "cubes":
+        raise ValueError("bad cube header")
+    d, n, m = (int(tok) for tok in tokens[1:4])
+    values = [int(tok) for tok in tokens[4:]]
+    if len(values) != m * n**d:
+        raise ValueError(f"cube file has {len(values)} values, expected m*n^d = {m * n**d}")
+    volume = n**d
+    members = tuple(
+        LatinCube(d, n, tuple(values[i * volume : (i + 1) * volume])) for i in range(m)
+    )
+    return CubeSet(d, n, members)

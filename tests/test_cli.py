@@ -254,6 +254,9 @@ def test_minsearch_guard_exits_2(capsys):
         ("cubes 3 100000 0\n", ["cubes", "--check", "invertible"], "n^3 = 100000^3"),
         ("cubes 3 100000 0\n", ["cubes", "--action", "lift", "-o", "x"], "n^d = 100000^3"),
         ("cubes 2 100000 0\n", ["cubes", "--action", "mols2blocks", "-o", "x"], "n^d"),
+        ("cubes 3 1025 1\nx\n", ["cubes", "--check", "latin"], "m*n^d = 1*1025^3"),
+        ("cubes 2 1024 2\n", ["cubes", "--action", "lift", "-o", "x"], "m*n^d = 2*1024^2"),
+        ("cubes 100000000 3 2\n", ["cubes", "--check", "invertible"], "m*n^d = 2*3^100000000"),
     ],
 )
 def test_over_large_input_files_exit_2(tmp_path, capsys, header, argv, power):
@@ -285,3 +288,25 @@ def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, out",
+    [
+        ("blocks 60 2 5 1\n" + " ".join(["1"] * 60) + "\n", ["verify", "--mode", "exact"],
+         1, "MISS 1,2,3,4,5 : 1,1,1,1,2\n"),
+        ("cubes 100000000 3 0\n", ["cubes", "--check", "latin"], 0, "OK\n"),
+    ],
+)
+def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
+    path = tmp_path / "in"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main([argv[0], str(path)] + argv[1:]) == code
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == out
+
+
+def test_parse_cubes_rejects_negative_header():
+    with pytest.raises(ValueError, match="bad cube header: negative value in 'cubes -1 0 1'"):
+        parse_cubes("cubes -1 0 1\n")

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -100,6 +101,15 @@ def test_latin_cube_rejects_bad_table_size():
         LatinCube(2, 2, (1, 2, 2))
 
 
+def test_latin_cube_names_the_volume_without_forming_a_huge_power():
+    with pytest.raises(ValueError, match=r"^table has 3 entries, expected n\^d = 4$"):
+        LatinCube(2, 2, (1, 2, 2))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^table has 0 entries, expected n\^d = 3\^100000000$"):
+        LatinCube(10**8, 3, ())
+    assert time.perf_counter() - start < 0.1
+
+
 def test_latin_cube_rejects_out_of_range_symbol():
     with pytest.raises(ValueError, match="outside"):
         LatinCube(1, 2, (1, 3))
@@ -134,6 +144,14 @@ def test_capped_power_stops_past_the_limit():
     assert capped_power(1, 10**12, factor=5) == 5
     assert capped_power(2, 13, limit=4096) > 4096
     assert capped_power(2, 12, limit=4096) == 4096
+
+
+def test_capped_power_returns_at_once_on_a_zero_product():
+    start = time.perf_counter()
+    assert capped_power(3, 2 * 10**7, factor=0) == 0
+    assert capped_power(0, 2 * 10**7, factor=5) == 0
+    assert capped_power(0, 0, factor=5) == 5
+    assert time.perf_counter() - start < 0.1
 
 
 def test_check_size_names_the_power_and_the_limit():

@@ -1,9 +1,11 @@
-"""Differential tests: every check against the nested-loop oracles in helpers.
+"""Differential tests: every check and both text formats against the oracles in helpers.
 
 Families and cube systems are small and drawn by Hypothesis with a fixed
 derandomized seed, so the suite stays deterministic.  Damaged inputs start
 from exact constructions and get one change each: a changed symbol, a
 dropped or duplicated block, a swapped cube entry, or no blocks at all.
+Damaged files get one textual change each: a token written as 07, +3, 0,
+n+1 or x, an extra or a missing token, a blank line, or CRLF line ends.
 """
 
 from hypothesis import given, settings
@@ -13,7 +15,11 @@ from helpers import (
     first_latin_offense,
     first_orthogonal_offense,
     first_projection_offense,
+    format_blocks_reference,
+    format_cubes_reference,
     lifted_family,
+    parse_blocks_reference,
+    parse_cubes_reference,
 )
 
 from partite import (
@@ -30,8 +36,10 @@ from partite import (
     is_latin,
     is_mutually_invertible,
 )
+from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)
+FORMAT_EXAMPLES = settings(EXAMPLES, max_examples=300)  # text checks are cheap
 
 # (k, n, ell) with an exact construction small enough for the oracles
 EXACT = [(2, 3, 2), (3, 3, 2), (4, 5, 2), (5, 5, 2), (3, 2, 1), (3, 3, 3), (4, 5, 3)]
@@ -143,3 +151,53 @@ def test_invertibility_matches_oracle_on_the_lift(cube_set):
     expected = first_projection_offense(lifted_family(cube_set))
     assert _triple(report.witness) == expected
     assert report.verdict is (Verdict.EXACT if expected is None else Verdict.FAIL)
+
+
+@st.composite
+def damaged_text(draw, text: str, n: int) -> str:
+    """text with one change: a rewritten, extra or missing token, a blank line, or CRLF."""
+    damage = draw(st.sampled_from(
+        ["none", "07", "+3", "0", "n+1", "x", "extra", "missing", "blank", "crlf"]))
+    if damage == "crlf":
+        return text.replace("\n", "\r\n")
+    lines = text.split("\n")[:-1]
+    i = draw(st.integers(0, len(lines) - 1))
+    if damage == "blank":
+        lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+    elif damage != "none":
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        if damage == "missing":
+            del tokens[j]
+        elif damage == "extra":
+            tokens.insert(j, tokens[j])
+        else:  # "0" and "x" replace the token as they are
+            rewrite = {"07": "0" + tokens[j], "+3": "+" + tokens[j], "n+1": str(n + 1)}
+            tokens[j] = rewrite.get(damage, damage)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@FORMAT_EXAMPLES
+@given(families, st.data())
+def test_block_format_matches_reference(family, data):
+    text = format_blocks(family)
+    assert text == format_blocks_reference(family)
+    damaged = data.draw(damaged_text(text, family.params.n))
+    assert _outcome(parse_blocks, damaged) == _outcome(parse_blocks_reference, damaged)
+
+
+@FORMAT_EXAMPLES
+@given(cube_sets(), st.data())
+def test_cube_format_matches_reference(cube_set, data):
+    text = format_cubes(cube_set)
+    assert text == format_cubes_reference(cube_set)
+    damaged = data.draw(damaged_text(text, cube_set.n))
+    assert _outcome(parse_cubes, damaged) == _outcome(parse_cubes_reference, damaged)
