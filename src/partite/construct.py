@@ -48,11 +48,12 @@ def is_prime(n: int) -> bool:
 
 
 def smallest_blocking_prime(n: int, k: int) -> int | None:
-    """Smallest prime factor of n below k, or None when n is admissible for k."""
-    for p, _ in factorize(n).factors:
-        if p < k:
-            return p
-    return None
+    """Smallest prime factor of n below k, or None when n >= 1 is admissible for k.
+
+    The smallest divisor d >= 2 of n is prime, so trial division by 2..k-1
+    finds it without factoring n.
+    """
+    return next((d for d in range(2, k) if n % d == 0), None)
 
 
 def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:

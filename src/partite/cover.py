@@ -2,8 +2,14 @@
 
 The pipeline lifts n to the next admissible order, builds exactly there, and
 fuses symbols back down; the result covers every projection at least once and
-overshoots the n^ell lower bound by at most the lift.  A branch-and-bound
-search provides exact minimum covering sizes on tiny instances.
+overshoots the n^ell lower bound by at most the lift.
+
+For tiny instances (n^k <= SEARCH_VOLUME_GUARD) a branch-and-bound search
+gives the exact minimum covering size: the covering-array number.  It keeps
+coverage as int bitmasks over (index set, tuple) pairs, fixes the first block
+to (1, ..., 1) because symbols can be relabelled within each colour class,
+and never revisits a cover through a later sibling.  Neither cut loses a
+minimum, so a settled search is exact.
 """
 
 from __future__ import annotations
@@ -17,17 +23,6 @@ SEARCH_VOLUME_GUARD = 4096
 DEFAULT_BUDGET = 1_000_000
 
 
-def _primes_below(k: int) -> list[int]:
-    if k <= 2:
-        return []
-    sieve = bytearray([1]) * k
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(k**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, k) if sieve[p]]
-
-
 def next_admissible_order(n: int, k: int) -> int:
     """Minimum n' >= max(n, k) with no prime factor below k.
 
@@ -38,9 +33,8 @@ def next_admissible_order(n: int, k: int) -> int:
         raise ValueError(f"n >= 1 required (n={n})")
     if k < 2:
         raise ValueError(f"k >= 2 required (k={k})")
-    small = _primes_below(k)
     candidate = max(n, k)
-    while any(candidate % p == 0 for p in small):
+    while smallest_blocking_prime(candidate, k) is not None:
         candidate += 1
     return candidate
 
@@ -93,14 +87,26 @@ def exact_cover_size(
 ) -> int | None:
     """Minimum number of blocks covering every projection, or None on budget exhaustion.
 
-    Depth-first search over candidate blocks: always branch on the first
-    uncovered (index set, tuple) pair, trying its candidate blocks ordered by
-    how many uncovered pairs they would close (ties broken lexicographically).
-    Prunes with per-index-set demand: each block closes at most one pair per
-    index set, so any completion needs at least max over index sets of the
-    uncovered count there (at the root this is the n^ell lower bound).
+    Depth-first branch and bound over the n^k candidate blocks.  A pair is an
+    (index set, tuple) cell, numbered s * n^ell + flat(tuple); each block's
+    coverage is one int bitmask over pair ids, and the uncovered pairs are an
+    int passed down the recursion.  Every node branches on the first uncovered
+    pair, trying the blocks that cover it ordered by how many uncovered pairs
+    they would close (ties broken lexicographically).  Each block closes at
+    most one pair per index set, so any completion needs at least the largest
+    uncovered count of one index set (at the root, the n^ell lower bound).
+
+    Two cuts keep the search complete.  Relabelling the symbols of each
+    colour class on its own maps covers to covers of the same size and can
+    send any one block to (1, ..., 1), so the root branches on that block
+    alone.  Once a candidate's subtree is done, every cover containing it has
+    been seen, so the later siblings' subtrees never add it again.
+
+    A search that runs out of budget has visited budget + 1 nodes.
     """
     params = Params(k, n, ell)
+    if budget < 1:
+        raise ValueError(f"budget >= 1 required (budget={budget})")
     if capped_power(n, k, limit=SEARCH_VOLUME_GUARD) > SEARCH_VOLUME_GUARD:
         raise ValueError(
             f"search volume n^k = {n}^{k} exceeds guard {SEARCH_VOLUME_GUARD}"
@@ -111,34 +117,29 @@ def exact_cover_size(
     index_sets = enumerate_index_sets(params)
     n_sets = len(index_sets)
     cell = n**ell
+    set_masks = [((1 << cell) - 1) << (s * cell) for s in range(n_sets)]
 
-    # Candidate blocks in lexicographic order; pair ids are s * cell + flat(tuple).
-    blocks = list(product(range(1, n + 1), repeat=k))
-    coverage: list[frozenset[int]] = []
-    for block in blocks:
-        pairs = []
+    # Candidate blocks in lexicographic order, so block 0 is (1, ..., 1).
+    coverage: list[int] = []
+    by_pair: list[list[int]] = [[] for _ in range(n_sets * cell)]
+    for b, block in enumerate(product(range(1, n + 1), repeat=k)):
+        bits = bytearray((len(by_pair) + 7) // 8)
         for s, index_set in enumerate(index_sets):
             flat = 0
             for pos in index_set:
                 flat = flat * n + (block[pos - 1] - 1)
-            pairs.append(s * cell + flat)
-        coverage.append(frozenset(pairs))
-
-    by_pair: dict[int, list[int]] = {}
-    for b, pairs in enumerate(coverage):
-        for pair in pairs:
-            by_pair.setdefault(pair, []).append(b)
+            pair = s * cell + flat
+            bits[pair >> 3] |= 1 << (pair & 7)
+            by_pair[pair].append(b)
+        coverage.append(int.from_bytes(bits, "little"))
 
     best = len(build_covering(k, n, ell).blocks)  # achievable upper bound
-    uncovered = set(range(n_sets * cell))
-    demand = [cell] * n_sets  # uncovered count per index set
+    excluded = bytearray(len(coverage))  # blocks an earlier sibling has settled
     nodes = 0
     exhausted = False
 
-    def search(size: int) -> None:
+    def search(size: int, uncovered: int) -> None:
         nonlocal best, nodes, exhausted
-        if exhausted:
-            return
         nodes += 1
         if nodes > budget:
             exhausted = True
@@ -146,24 +147,28 @@ def exact_cover_size(
         if not uncovered:
             best = size
             return
-        if size + max(demand) >= best:
+        # prune when one index set alone has best - size uncovered pairs left;
+        # no set has more than n^ell, and with one block to go any pair will do
+        need = best - size
+        if need == 1 or (
+            need <= cell and any((uncovered & m).bit_count() >= need for m in set_masks)
+        ):
             return
-        target = min(uncovered)
-        candidates = sorted(
-            by_pair[target],
-            key=lambda b: (-len(coverage[b] & uncovered), b),
+        target = (uncovered & -uncovered).bit_length() - 1
+        # some minimum cover holds block 0, and block 0 covers pair 0
+        candidates = by_pair[target] if size else (0,)
+        closing = sorted(
+            (-(closed := coverage[b] & uncovered).bit_count(), b, closed)
+            for b in candidates
+            if not excluded[b]
         )
-        for b in candidates:
-            closed = coverage[b] & uncovered
-            uncovered.difference_update(closed)
-            for pair in closed:
-                demand[pair // cell] -= 1
-            search(size + 1)
-            for pair in closed:
-                demand[pair // cell] += 1
-            uncovered.update(closed)
+        for _, b, closed in closing:
+            search(size + 1, uncovered ^ closed)
             if exhausted:
                 return
+            excluded[b] = 1
+        for _, b, _ in closing:
+            excluded[b] = 0
 
-    search(0)
+    search(0, (1 << (n_sets * cell)) - 1)
     return None if exhausted else best

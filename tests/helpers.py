@@ -2,12 +2,17 @@
 
 These deliberately re-count projections cell by cell with nested loops, so
 they stay independent of the library's bucket-counting passes.  The text
-format oracles convert and join one token at a time.
+format oracles convert and join one token at a time.  The minimum-cover
+oracles are the earlier set-based search and the closed form for n = 2,
+ell = 2.
 """
 
 from itertools import combinations, product
+from math import comb
 
-from partite import BlockFamily, CubeSet, LatinCube, Params
+from partite import BlockFamily, CubeSet, LatinCube, Params, build_covering, enumerate_index_sets
+from partite.core import capped_power, check_size
+from partite.cover import DEFAULT_BUDGET, SEARCH_VOLUME_GUARD
 
 
 def first_projection_offense(family: BlockFamily, allowed=(1,)):
@@ -137,3 +142,99 @@ def parse_cubes_reference(text: str) -> CubeSet:
         LatinCube(d, n, tuple(values[i * volume : (i + 1) * volume])) for i in range(m)
     )
     return CubeSet(d, n, members)
+
+
+def min_cover_binary_pairs(k: int) -> int:
+    """Least N with C(N-1, ceil(N/2)) >= k: the minimum cover of G(k, 2) at ell = 2.
+
+    This is the binary strength-2 covering-array number (Kleitman and Spencer
+    1973; Katona 1973).
+    """
+    size = 2
+    while comb(size - 1, -(-size // 2)) < k:
+        size += 1
+    return size
+
+
+def exact_cover_size_reference(
+    k: int, n: int, ell: int, budget: int = DEFAULT_BUDGET
+) -> int | None:
+    """Minimum number of blocks covering every projection, or None on budget exhaustion.
+
+    The set-based search partite shipped before its bitmask rewrite, kept
+    verbatim apart from this paragraph as a differential reference.
+
+    Depth-first search over candidate blocks: always branch on the first
+    uncovered (index set, tuple) pair, trying its candidate blocks ordered by
+    how many uncovered pairs they would close (ties broken lexicographically).
+    Prunes with per-index-set demand: each block closes at most one pair per
+    index set, so any completion needs at least max over index sets of the
+    uncovered count there (at the root this is the n^ell lower bound).
+    """
+    params = Params(k, n, ell)
+    if capped_power(n, k, limit=SEARCH_VOLUME_GUARD) > SEARCH_VOLUME_GUARD:
+        raise ValueError(
+            f"search volume n^k = {n}^{k} exceeds guard {SEARCH_VOLUME_GUARD}"
+        )
+    # the C(k, ell) * n^ell pairs to cover, bounded without forming C(k, ell)
+    check_size(f"(k*n)^l = ({k}*{n})^{ell}", k * n, ell)
+
+    index_sets = enumerate_index_sets(params)
+    n_sets = len(index_sets)
+    cell = n**ell
+
+    # Candidate blocks in lexicographic order; pair ids are s * cell + flat(tuple).
+    blocks = list(product(range(1, n + 1), repeat=k))
+    coverage: list[frozenset[int]] = []
+    for block in blocks:
+        pairs = []
+        for s, index_set in enumerate(index_sets):
+            flat = 0
+            for pos in index_set:
+                flat = flat * n + (block[pos - 1] - 1)
+            pairs.append(s * cell + flat)
+        coverage.append(frozenset(pairs))
+
+    by_pair: dict[int, list[int]] = {}
+    for b, pairs in enumerate(coverage):
+        for pair in pairs:
+            by_pair.setdefault(pair, []).append(b)
+
+    best = len(build_covering(k, n, ell).blocks)  # achievable upper bound
+    uncovered = set(range(n_sets * cell))
+    demand = [cell] * n_sets  # uncovered count per index set
+    nodes = 0
+    exhausted = False
+
+    def search(size: int) -> None:
+        nonlocal best, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if not uncovered:
+            best = size
+            return
+        if size + max(demand) >= best:
+            return
+        target = min(uncovered)
+        candidates = sorted(
+            by_pair[target],
+            key=lambda b: (-len(coverage[b] & uncovered), b),
+        )
+        for b in candidates:
+            closed = coverage[b] & uncovered
+            uncovered.difference_update(closed)
+            for pair in closed:
+                demand[pair // cell] -= 1
+            search(size + 1)
+            for pair in closed:
+                demand[pair // cell] += 1
+            uncovered.update(closed)
+            if exhausted:
+                return
+
+    search(0)
+    return None if exhausted else best

@@ -242,6 +242,14 @@ def test_minsearch_budget_exhaustion(capsys):
     assert capsys.readouterr().out.strip() == "unknown (budget)"
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_minsearch_rejects_budget_below_one(capsys, budget):
+    assert main(["minsearch", "--k", "4", "--n", "2", "--l", "2", "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"budget >= 1 required (budget={budget})" in captured.err
+
+
 def test_minsearch_guard_exits_2(capsys):
     assert main(["minsearch", "--k", "13", "--n", "2", "--l", "2"]) == 2
 

@@ -16,6 +16,7 @@ from partite import (
     vandermonde_blocks,
 )
 from partite.cli import format_blocks
+from partite.construct import smallest_blocking_prime
 
 
 def test_factorize_distinct_primes():
@@ -192,3 +193,10 @@ def test_construct_is_deterministic():
     b = construct(4, 25, 2)
     assert a == b
     assert format_blocks(a) == format_blocks(b)
+
+
+def test_smallest_blocking_prime_matches_factorization():
+    for k in range(1, 25):
+        for n in range(1, 1000):
+            factorised = next((p for p, _ in factorize(n).factors if p < k), None)
+            assert smallest_blocking_prime(n, k) == factorised, (n, k)

@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import covers_every_pair
+from helpers import covers_every_pair, min_cover_binary_pairs
 
 from partite import (
     Verdict,
@@ -181,3 +181,26 @@ def test_exact_cover_size_respects_guard():
 
 def test_exact_cover_size_budget_exhaustion_is_unknown():
     assert exact_cover_size(4, 2, 2, budget=1) is None
+
+
+def test_exact_cover_size_rejects_budget_below_one():
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match=f"budget >= 1 required \\(budget={budget}\\)"):
+            exact_cover_size(4, 2, 2, budget=budget)
+
+
+def test_min_cover_binary_pairs_closed_form():
+    assert [min_cover_binary_pairs(k) for k in range(2, 16)] == [4, 4, 5] + [6] * 6 + [7] * 5
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_exact_cover_size_matches_binary_closed_form(k):
+    assert exact_cover_size(k, 2, 2) == min_cover_binary_pairs(k)
+
+
+@pytest.mark.parametrize(
+    "k,n,ell,minimum",
+    [(7, 2, 2, 6), (5, 2, 3, 10), (4, 3, 2, 9), (5, 4, 2, 16), (5, 4, 3, 64)],
+)
+def test_exact_cover_size_pinned_minimums(k, n, ell, minimum):
+    assert exact_cover_size(k, n, ell) == minimum

@@ -6,12 +6,16 @@ from exact constructions and get one change each: a changed symbol, a
 dropped or duplicated block, a swapped cube entry, or no blocks at all.
 Damaged files get one textual change each: a token written as 07, +3, 0,
 n+1 or x, an extra or a missing token, a blank line, or CRLF line ends.
+The minimum-cover search is compared with the earlier set-based search on
+every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
+subset search where n^k <= 16.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    exact_cover_size_reference,
     first_latin_offense,
     first_orthogonal_offense,
     first_projection_offense,
@@ -30,6 +34,7 @@ from partite import (
     Verdict,
     are_mutually_orthogonal,
     construct,
+    exact_cover_size,
     extract_cubes,
     is_covering,
     is_l_extendable,
@@ -37,6 +42,7 @@ from partite import (
     is_mutually_invertible,
 )
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
+from test_cover import brute_force_minimum_cover
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)
 FORMAT_EXAMPLES = settings(EXAMPLES, max_examples=300)  # text checks are cheap
@@ -178,9 +184,9 @@ def damaged_text(draw, text: str, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _outcome(parse, text):
+def _outcome(call, *args, **kwargs):
     try:
-        return parse(text)
+        return call(*args, **kwargs)
     except ValueError as exc:
         return str(exc)
 
@@ -201,3 +207,24 @@ def test_cube_format_matches_reference(cube_set, data):
     assert text == format_cubes_reference(cube_set)
     damaged = data.draw(damaged_text(text, cube_set.n))
     assert _outcome(parse_cubes, damaged) == _outcome(parse_cubes_reference, damaged)
+
+
+@st.composite
+def search_instances(draw):
+    """(k, n, ell) with n^k <= 256 and k, n <= 16."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max(m for m in range(1, 17) if m**k <= 256)))
+    return k, n, draw(st.integers(1, k))
+
+
+@settings(EXAMPLES, max_examples=50)
+@given(search_instances())
+def test_exact_cover_size_matches_set_based_search(instance):
+    # a refusal (the covering incumbent over the size limit) must match too
+    reference = _outcome(exact_cover_size_reference, *instance, budget=100_000)
+    if reference is None:
+        return
+    assert _outcome(exact_cover_size, *instance) == reference
+    k, n, ell = instance
+    if n**k <= 16 and isinstance(reference, int):
+        assert brute_force_minimum_cover(k, n, ell, reference) == reference
