@@ -11,7 +11,6 @@ product on symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import BlockFamily, Params, check_size
 
@@ -72,18 +71,15 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
         raise ValueError(f"n >= k required (n={n}, k={k})")
     if not is_prime(n):
         raise ValueError(f"n must be prime (n={n})")
-    blocks = []
-    for coeffs in product(range(n), repeat=ell):
-        block = []
-        for c in range(1, k + 1):
-            value = 0
-            power = 1
-            for a in coeffs:
-                value = (value + a * power) % n
-                power = (power * c) % n
-            block.append(value + 1)
-        blocks.append(tuple(block))
-    return BlockFamily(params, tuple(sorted(blocks)))
+    # row r of every column belongs to the r-th coefficient tuple in lexicographic order
+    columns = []
+    for c in range(1, k + 1):
+        column = [1]
+        for j in range(ell):
+            step = pow(c, j, n)
+            column = [(x - 1 + step * a) % n + 1 for x in column for a in range(n)]
+        columns.append(column)
+    return BlockFamily(params, tuple(sorted(zip(*columns))))
 
 
 def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
@@ -116,11 +112,12 @@ def construct(k: int, n: int, ell: int) -> BlockFamily:
     increasing prime order), yielding a canonical family of n^ell blocks.
 
     ell = 1 is accepted as a degenerate case for any k and n: the n constant
-    blocks (a,..,a) hit every single vertex exactly once.
+    blocks (a,..,a) hit every single vertex exactly once.  So is n = 1, which
+    no prime divides: the single block (1,..,1) is all of G(k, 1).
     """
     params = Params(k, n, ell)
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
-    if ell == 1:
+    if ell == 1 or n == 1:
         return BlockFamily(params, tuple((a,) * k for a in range(1, n + 1)))
     if n < k:
         raise ValueError(f"n >= k required (n={n}, k={k})")

@@ -62,9 +62,7 @@ def lifting_order(k: int, n: int, ell: int) -> int:
     Params(k, n, ell)
     # n' >= n, so this bounds k and n before factoring n or sieving below k
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
-    if ell == 1:
-        return n
-    if n >= k and smallest_blocking_prime(n, k) is None:
+    if ell == 1 or smallest_blocking_prime(n, k) is None:
         return n
     return next_admissible_order(n, k)
 

@@ -22,6 +22,7 @@ from .core import (
     check_size,
     flatten_coords,
 )
+from .formats import parse_cubes
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -117,6 +118,4 @@ def blocks_to_mols(family: BlockFamily) -> CubeSet:
 
 def orthogonal_not_invertible_cubes() -> CubeSet:
     """Load the packaged order-4 counterexample triple from its cube file."""
-    from .cli import parse_cubes  # deferred: serialization lives in cli
-
     return parse_cubes(ORTHOGONAL_NOT_INVERTIBLE_PATH.read_text())

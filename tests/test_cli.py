@@ -1,8 +1,21 @@
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partite import BlockFamily, CubeSet, construct, orthogonal_not_invertible_cubes
+from test_differential import damaged_text
+
+from partite import (
+    BlockFamily,
+    CubeSet,
+    blocks_to_mols,
+    construct,
+    extract_cubes,
+    orthogonal_not_invertible_cubes,
+)
 from partite.cli import (
     format_blocks,
     format_cubes,
@@ -182,21 +195,37 @@ def test_cubes_orthogonal_check_needs_enough_cubes(tmp_path, capsys):
     assert "at least" in capsys.readouterr().err
 
 
-def test_cubes_latin_check_reports_violating_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("cubes 2 2 1\n1 1\n2 2\n", "NONLATIN cube 1 axis 2 : 1", id="flat"),
+        # a one-dimensional cube has a single line, so no fixed coordinates follow
+        pytest.param("cubes 1 3 1\n1 1 2\n", "NONLATIN cube 1 axis 1", id="d1"),
+        pytest.param("cubes 2 2 2\n1 2\n2 1\n1 1\n2 2\n", "NONLATIN cube 2 axis 2 : 1",
+                     id="second"),
+    ],
+)
+def test_cubes_latin_check_reports_violating_line(tmp_path, capsys, text, line):
     path = tmp_path / "flat.cubes"
-    path.write_text("cubes 2 2 1\n1 1\n2 2\n")
+    path.write_text(text)
     capsys.readouterr()
     assert main(["cubes", str(path), "--check", "latin"]) == 1
-    assert capsys.readouterr().out.strip() == "NONLATIN cube 1 axis 2 : 1"
+    assert capsys.readouterr().out == line + "\n"
 
 
-def test_cubes_orthogonal_check_reports_duplicate_image(tmp_path, capsys):
-    square = "1 2\n2 1\n"
+@pytest.mark.parametrize(
+    "squares, line",
+    [
+        pytest.param("1 2\n2 1\n" * 2, "NONORTHOGONAL DUP cubes 1,2 : 1,1", id="dup"),
+        pytest.param("2 2\n" * 4, "NONORTHOGONAL MISS cubes 1,2 : 1,1", id="miss"),
+    ],
+)
+def test_cubes_orthogonal_check_reports_duplicate_image(tmp_path, capsys, squares, line):
     path = tmp_path / "pair.cubes"
-    path.write_text("cubes 2 2 2\n" + square + square)
+    path.write_text("cubes 2 2 2\n" + squares)
     capsys.readouterr()
     assert main(["cubes", str(path), "--check", "orthogonal"]) == 1
-    assert capsys.readouterr().out.strip() == "NONORTHOGONAL DUP cubes 1,2 : 1,1"
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_cubes_bad_positions_exit_2(tmp_path, capsys):
@@ -208,6 +237,8 @@ def test_cubes_bad_positions_exit_2(tmp_path, capsys):
          "-o", str(out)]
     )
     assert code == 2
+    assert "bad positions 'a,b': expected comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cubes_extract_rejects_non_exact_input(tmp_path, capsys):
@@ -255,6 +286,67 @@ def test_minsearch_guard_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["cover", "--k", "8", "--n", "1", "--l", "5"], "size=1 lower=1 lifted_order=1"),
+        (["minsearch", "--k", "8", "--n", "1", "--l", "5"], "1"),
+    ],
+    ids=["cover", "minsearch"],
+)
+def test_order_one_commands_answer_with_one_block(capsys, argv, line):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+# every command that reads a file, with the input kind it expects
+FILE_COMMANDS = [
+    ["verify", "--mode", "exact"],
+    ["verify", "--mode", "cover"],
+    ["cubes", "--check", "latin"],
+    ["cubes", "--check", "orthogonal"],
+    ["cubes", "--check", "invertible"],
+    ["cubes", "--action", "extract"],
+    ["cubes", "--action", "lift"],
+    ["cubes", "--action", "mols2blocks"],
+    ["cubes", "--action", "blocks2mols"],
+]
+VALID_FILES = [format_blocks(construct(k, n, ell)) for k, n, ell in
+               [(3, 3, 2), (4, 5, 2), (4, 5, 3), (3, 2, 1)]] + [
+    format_cubes(blocks_to_mols(construct(4, 5, 2))),
+    format_cubes(extract_cubes(construct(4, 5, 3), (2, 3, 4))),
+    ORTHOGONAL_NOT_INVERTIBLE_PATH.read_text(),
+]
+WRONG_HEADERS = [
+    "", "blocks", "cubes", "blocks 4 5 2", "blocks 4 5 2 25 1", "blocks 4 5 9 25",
+    "blocks 0 5 2 25", "blocks 4 5 2 -1", "cubes 2 5", "cubes 2 5 2 1", "cubes 0 5 2",
+    "cubes 2 -5 2", "cubes 3 5 2", "squares 2 5 2",
+]
+
+
+@st.composite
+def damaged_files(draw):
+    text = draw(st.sampled_from(VALID_FILES))
+    damage = draw(st.sampled_from(["token", "header", "no lines"]))
+    if damage == "no lines":
+        return draw(st.sampled_from(["", "\n", " \n\t\n"]))
+    if damage == "header":
+        return "\n".join([draw(st.sampled_from(WRONG_HEADERS))] + text.split("\n")[1:])
+    return draw(damaged_text(text, int(text.split()[2])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(FILE_COMMANDS), damaged_files())
+def test_file_commands_never_raise_on_damaged_files(argv, text):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "in"
+        path.write_text(text)
+        argv = [argv[0], str(path)] + argv[1:]
+        if "--action" in argv:
+            argv += ["-o", str(Path(work) / "out")]
+        assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
     "header, argv, power",
     [
         ("blocks 3 100000 3 1\n1 1 1\n", ["verify", "--mode", "exact"], "n^3 = 100000^3"),
@@ -281,7 +373,7 @@ def test_over_large_input_files_exit_2(tmp_path, capsys, header, argv, power):
     "argv, message",
     [
         (["construct", "--k", "3", "--n", "10007", "--l", "3"], "k*n^l = 3*10007^3"),
-        (["cover", "--k", "100000", "--n", "1", "--l", "2"], "k*n^l = 100000*100003^2"),
+        (["cover", "--k", "100000", "--n", "2", "--l", "2"], "k*n^l = 100000*100003^2"),
         (["cover", "--k", "3", "--n", "1000000000000000003", "--l", "2"], "k*n^l"),
         (["minsearch", "--k", "100000000", "--n", "3", "--l", "2"], "exceeds guard 4096"),
         (["minsearch", "--k", "100000", "--n", "1", "--l", "2"], "(k*n)^l"),

@@ -56,9 +56,11 @@ def test_polynomial_family_order3_frozen():
     )
 
 
-def test_polynomial_evaluation_matches_independent_recompute():
+@pytest.mark.parametrize(
+    "k, n, ell", [(2, 2, 2), (3, 3, 2), (5, 7, 3), (7, 11, 2), (4, 5, 4), (11, 13, 3)]
+)
+def test_polynomial_evaluation_matches_independent_recompute(k, n, ell):
     # independent evaluation of (a_1 + a_2*c + ... ) mod n, symbol-shifted
-    k, n, ell = 5, 7, 3
     family = vandermonde_blocks(k, n, ell)
     expected = set()
     for coeffs in product(range(n), repeat=ell):
@@ -159,8 +161,9 @@ def test_product_rejects_mismatched_parameters():
         product_decomposition(a, c)
 
 
+# n = 1 is admissible for every k (no prime divides it): one block, (1, ..., 1)
 @pytest.mark.parametrize(
-    "k,n,ell", [(5, 5, 2), (3, 9, 2), (4, 25, 2), (4, 5, 3), (5, 35, 2)]
+    "k,n,ell", [(5, 5, 2), (3, 9, 2), (4, 25, 2), (4, 5, 3), (5, 35, 2), (2, 1, 2), (8, 1, 5)]
 )
 def test_construct_outputs_are_exact(k, n, ell):
     family = construct(k, n, ell)

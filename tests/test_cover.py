@@ -76,6 +76,9 @@ def test_lifting_order_detects_direct_cases():
     assert lifting_order(4, 2, 2) == 5
     assert lifting_order(6, 4, 3) == 7
     assert lifting_order(9, 4, 1) == 4
+    # no prime divides 1, so order 1 is built directly
+    assert lifting_order(3, 1, 2) == 1
+    assert lifting_order(8, 1, 5) == 1
 
 
 def test_build_covering_uses_direct_construction_when_admissible():

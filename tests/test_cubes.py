@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from helpers import first_projection_offense, square
 
+import partite
 from partite import (
     BlockFamily,
     CubeSet,
@@ -157,3 +162,17 @@ def test_blocks_to_mols_requires_exact_family():
 def test_counterexample_fixture_dimensions():
     cube_set = orthogonal_not_invertible_cubes()
     assert (cube_set.d, cube_set.n, len(cube_set.cubes)) == (3, 4, 3)
+
+
+def test_fixture_loads_without_the_cli():
+    # the cube format lives in partite.formats, so cubes never imports the front end
+    src = str(Path(partite.__file__).parents[1])
+    code = (
+        "import sys, partite; partite.orthogonal_not_invertible_cubes(); "
+        "print('partite.cli' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
