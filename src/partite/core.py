@@ -115,6 +115,12 @@ class BlockFamily:
     blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
+        k, n = self.params.k, self.params.n
+        # decide in bulk; only a family that fails is scanned for its first bad block
+        if set(map(len, self.blocks)) <= {k} and all(
+            1 <= v <= n for v in set().union(*self.blocks)
+        ):
+            return
         for block in self.blocks:
             _check_block(block, self.params)
 

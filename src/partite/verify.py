@@ -1,21 +1,25 @@
-"""One projection-counting kernel behind all five checks.
+"""One projection kernel behind all five checks.
 
-The kernel projects rows onto each subset of columns in turn, counts the hits
-on every value tuple (cell), capped at 2, and returns the first cell whose
-count is not allowed.  The checks differ only in what they pass: the block
-positions (exact, cover), the grid axes then the value (Latin), the cube
-tables (orthogonal), or the lift, tables then axes (invertible; by the
-paper's main theorem, exactness of the lift).  Witness rule: subsets in the
-order given and cells in row-major order, so a witness is the
-lexicographically first offending (subset, value tuple) whatever the row order.
+The kernel projects rows onto each subset of columns in turn and returns the
+first value tuple (cell) whose hit count, capped at 2, is not allowed.  A mark
+pass decides each subset: when every cell is hit, and either there are exactly
+as many rows as cells or a count of 2 is allowed, the subset passes.  Only a
+subset that fails it runs the capped counting loop, which locates the witness.
+The checks differ only in what they pass: the block positions (exact, cover),
+the grid axes then the value (Latin), the cube tables (orthogonal), or the
+lift, tables then axes (invertible; by the paper's main theorem, exactness of
+the lift).  Witness rule: subsets in the order given and cells in row-major
+order, so a witness is the lexicographically first offending (subset, value
+tuple) whatever the row order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, dropwhile, repeat
-from operator import add, itemgetter
+from itertools import combinations, dropwhile, islice, repeat
+from operator import add, itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
 from .core import check_size, unflatten_index
@@ -24,12 +28,15 @@ from .core import check_size, unflatten_index
 def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None:
     """First (subset, cell, count capped at 2) whose count is not in allowed, or None.
 
-    column(c) runs once per column, when a subset first needs it.  Keys use the
-    1-based symbols as digits, so the table starts at the key of (1, ..., 1).
-    A table of n^w cells above core.SIZE_LIMIT raises ValueError unallocated.
+    allowed always holds 1.  column(c) runs once per column, when a subset
+    first needs it.  Keys use the 1-based symbols as digits, so the table
+    starts at the key of (1, ..., 1).  A table of n^w cells above
+    core.SIZE_LIMIT raises ValueError unallocated.
     """
     column, prefix, scaled = cache(column), None, None
-    allowed_bytes = bytes(allowed)
+    allowed_bytes, repeats_allowed = bytes(allowed), 2 in allowed
+    if n == 1:  # each subset has one cell, hit by every row: the first decides for all
+        subsets = islice(subsets, 1)
     for subset in subsets:
         width = len(subset)
         size = check_size(f"n^{width} = {n}^{width}", n, width)
@@ -38,8 +45,14 @@ def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None
             for c in prefix:
                 scaled = [(key + v) * n for key, v in zip(scaled, column(c))]
         offset = (size - 1) // (n - 1) if n > 1 else width
+        last = column(subset[-1])
+        marks = bytearray(offset + size)
+        deque(map(setitem, repeat(marks), map(add, scaled, last), repeat(1)), 0)
+        # every cell hit by exactly size rows means hit once each (pigeonhole)
+        if marks.find(0, offset) < 0 and (len(last) == size or repeats_allowed):
+            continue
         counts = bytearray(offset + size)
-        for key in map(add, scaled, column(subset[-1])):
+        for key in map(add, scaled, last):
             if counts[key] < 2:
                 counts[key] += 1
         rest = counts[offset:].lstrip(allowed_bytes)

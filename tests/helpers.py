@@ -1,8 +1,9 @@
 """Brute-force oracles shared across test modules.
 
 These deliberately re-count projections cell by cell with nested loops, so
-they stay independent of the library's bucket-counting passes.  The text
-format oracles convert and join one token at a time.  The minimum-cover
+they stay independent of the library's bucket-counting passes.
+`BlockFamily` validation is checked against its earlier per-block loop.  The
+text format oracles convert and join one token at a time.  The minimum-cover
 oracles are the earlier set-based search and the closed form for n = 2,
 ell = 2.
 """
@@ -28,6 +29,18 @@ def first_projection_offense(family: BlockFamily, allowed=(1,)):
             if min(hits, 2) not in allowed:
                 return positions, values, min(hits, 2)
     return None
+
+
+def check_blocks_reference(blocks, params: Params) -> None:
+    """The per-block validation BlockFamily ran before its bulk decide step."""
+    for block in blocks:
+        if len(block) != params.k:
+            raise ValueError(
+                f"block length {len(block)} does not match k={params.k}: {block}"
+            )
+        for v in block:
+            if not 1 <= v <= params.n:
+                raise ValueError(f"symbol {v} outside 1..{params.n} in block {block}")
 
 
 def _cube_value(cube: LatinCube, coords) -> int:

@@ -396,6 +396,15 @@ def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):
         ("blocks 60 2 5 1\n" + " ".join(["1"] * 60) + "\n", ["verify", "--mode", "exact"],
          1, "MISS 1,2,3,4,5 : 1,1,1,1,2\n"),
         ("cubes 100000000 3 0\n", ["cubes", "--check", "latin"], 0, "OK\n"),
+        # order 1: C(100, 50), C(80, 40) or C(40, 20) index sets of a single cell each
+        ("blocks 100 1 50 1\n" + " ".join(["1"] * 100) + "\n", ["verify", "--mode", "exact"],
+         0, "OK\n"),
+        ("blocks 100 1 50 1\n" + " ".join(["1"] * 100) + "\n", ["verify", "--mode", "cover"],
+         0, "OK\n"),
+        ("blocks 100 1 50 2\n" + (" ".join(["1"] * 100) + "\n") * 2,
+         ["verify", "--mode", "cover"], 0, "OK\n"),
+        ("cubes 40 1 40\n" + "1\n" * 40, ["cubes", "--check", "invertible"], 0, "OK\n"),
+        ("cubes 20 1 40\n" + "1\n" * 40, ["cubes", "--check", "orthogonal"], 0, "OK\n"),
     ],
 )
 def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):

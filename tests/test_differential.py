@@ -6,15 +6,19 @@ from exact constructions and get one change each: a changed symbol, a
 dropped or duplicated block, a swapped cube entry, or no blocks at all.
 Damaged files get one textual change each: a token written as 07, +3, 0,
 n+1 or x, an extra or a missing token, a blank line, or CRLF line ends.
+`BlockFamily` validation is compared with its earlier per-block loop on
+blocks one symbol too short or too long and symbols one outside 1..n.
 The minimum-cover search is compared with the earlier set-based search on
 every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
 subset search where n^k <= 16.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    check_blocks_reference,
     exact_cover_size_reference,
     first_latin_offense,
     first_orthogonal_offense,
@@ -62,6 +66,16 @@ def random_families(draw):
 
 
 @st.composite
+def unchecked_blocks(draw):
+    """(params, blocks) with block lengths k-1..k+1 and symbols 0..n+1."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    block = st.integers(k - 1, k + 1).flatmap(
+        lambda width: st.tuples(*[st.integers(0, n + 1)] * width)
+    )
+    return Params(k, n, 1), tuple(draw(st.lists(block, max_size=6)))
+
+
+@st.composite
 def damaged_families(draw):
     k, n, ell = draw(st.sampled_from(EXACT))
     family = construct(k, n, ell)
@@ -103,6 +117,20 @@ def cube_sets(draw):
 
 def _triple(witness):
     return None if witness is None else (witness.index_set, witness.values, witness.multiplicity)
+
+
+@settings(EXAMPLES, max_examples=300)
+@given(unchecked_blocks())
+def test_block_family_validation_matches_per_block_loop(drawn):
+    params, blocks = drawn
+    try:
+        check_blocks_reference(blocks, params)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            BlockFamily(params, blocks)
+        assert str(raised.value) == str(error)
+    else:
+        assert BlockFamily(params, blocks).blocks == blocks
 
 
 @EXAMPLES

@@ -13,6 +13,7 @@ from partite import (
     Verdict,
     are_mutually_orthogonal,
     blocks_to_mols,
+    build_covering,
     construct,
     extract_cubes,
     is_covering,
@@ -225,3 +226,33 @@ def test_verdicts_ignore_block_order():
         rng.shuffle(broken)
         report = is_l_extendable(BlockFamily(Params(6, 4, 3), tuple(broken)))
         assert report.witness == expected
+
+
+EXACT_332 = construct(3, 3, 2).blocks
+
+
+# Families on each side of the mark pass's decision: every cell hit with more
+# rows than cells, a cell missed with as many rows as cells, and order 1.
+@pytest.mark.parametrize(
+    "family, cover_verdict",
+    [
+        (BlockFamily(Params(3, 3, 2), EXACT_332 + EXACT_332[4:5]), Verdict.COVER_ONLY),
+        (BlockFamily(Params(3, 3, 2), EXACT_332[:-1] + EXACT_332[4:5]), Verdict.FAIL),
+        (build_covering(3, 4, 2), Verdict.COVER_ONLY),
+        (BlockFamily(Params(3, 1, 2), ((1, 1, 1),) * 2), Verdict.COVER_ONLY),
+    ],
+    ids=["exact-plus-duplicate", "block-replaced-by-copy", "cover-extra-rows", "order-one-pair"],
+)
+def test_mark_pass_decisions_agree_with_brute_force_oracle(family, cover_verdict):
+    dup = first_projection_offense(family)
+    report = is_l_extendable(family)
+    assert report.verdict is Verdict.FAIL
+    assert dup[2] == 2  # every case repeats a cell before any cell is missed
+    assert (report.witness.index_set, report.witness.values, report.witness.multiplicity) == dup
+
+    cover = is_covering(family)
+    miss = first_projection_offense(family, allowed=(1, 2))
+    assert (miss is None) == (cover_verdict is Verdict.COVER_ONLY)
+    assert cover.verdict is cover_verdict
+    expected = dup if miss is None else miss
+    assert (cover.witness.index_set, cover.witness.values, cover.witness.multiplicity) == expected
