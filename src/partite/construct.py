@@ -11,6 +11,8 @@ product on symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 
 from .core import BlockFamily, Params, check_size
 
@@ -124,10 +126,6 @@ def construct(k: int, n: int, ell: int) -> BlockFamily:
     blocking = smallest_blocking_prime(n, k)
     if blocking is not None:
         raise ValueError(f"prime {blocking} < k={k} divides n={n}")
-    family: BlockFamily | None = None
-    for prime, exponent in factorize(n).factors:
-        base = vandermonde_blocks(k, prime, ell)
-        for _ in range(exponent):
-            family = base if family is None else product_decomposition(family, base)
-    assert family is not None  # n >= k >= 2 has at least one prime factor
-    return family
+    # n >= k >= 2 has a prime factor, so the fold has a first family
+    return reduce(product_decomposition, chain.from_iterable(
+        [vandermonde_blocks(k, p, ell)] * e for p, e in factorize(n).factors))

@@ -4,7 +4,8 @@ Symbols and colour classes are 1-based everywhere at the API surface:
 a block over parameters (k, n) is a k-tuple with entries in {1..n}, and a
 cube of dimension d and order n is a dense table over {1..n}^d.  Modular
 arithmetic inside the constructions works on residues {0..n-1} and shifts
-by +1 at the boundary.
+by +1 at the boundary.  `lift_columns` is the lift's one layout: the cube
+checks count it, `lift_cubes` zips it into blocks, `extract_cubes` inverts it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def unflatten_index(index: int, n: int, d: int) -> tuple[int, ...]:
         index, rem = divmod(index, n)
         coords[i] = rem + 1
     return tuple(coords)
+
+
+def lift_columns(tables: Sequence[Sequence[int]], d: int, n: int):
+    """Lift column c: table c for c <= m, else grid axis c - m, last axis fastest."""
+    m = len(tables)
+    return lambda c: tables[c - 1] if c <= m else (
+        [x for x in range(1, n + 1) for _ in range(n ** (d + m - c))] * n ** (c - m - 1))
 
 
 def _check_block(block: Block, params: Params) -> None:

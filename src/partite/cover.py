@@ -105,6 +105,9 @@ def exact_cover_size(
     params = Params(k, n, ell)
     if budget < 1:
         raise ValueError(f"budget >= 1 required (budget={budget})")
+    # the block (1, ..., 1) covers G(k, 1), whose C(k, ell) pairs can exceed any table
+    if n == 1:
+        return 1
     if capped_power(n, k, limit=SEARCH_VOLUME_GUARD) > SEARCH_VOLUME_GUARD:
         raise ValueError(
             f"search volume n^k = {n}^{k} exceeds guard {SEARCH_VOLUME_GUARD}"

@@ -1,14 +1,13 @@
 """Conversions between block families, Latin cube systems, and MOLS.
 
-Extraction reads the free coordinates of an exact family off its unique
-blocks; lifting tabulates cube values and appends the domain coordinates.
-The two are inverse to each other at the canonical (last ell) positions.
+Both follow `core.lift_columns`, the lift's one layout: lifting zips its
+columns into blocks, and extraction reads the free columns back off the blocks
+in row-major order.  The two are inverse at the canonical (last ell) positions.
 """
 
 from __future__ import annotations
 
-from itertools import product, repeat
-from operator import add
+from operator import itemgetter
 from pathlib import Path
 
 from . import verify
@@ -20,7 +19,7 @@ from .core import (
     Params,
     Verdict,
     check_size,
-    flatten_coords,
+    lift_columns,
 )
 from .formats import parse_cubes
 
@@ -58,13 +57,11 @@ def extract_cubes(family: BlockFamily, positions: IndexSet) -> CubeSet:
             f"(first offense at positions {w.index_set}, values {w.values}, "
             f"multiplicity {w.multiplicity})"
         )
-    free = [j for j in range(1, k + 1) if j not in positions]
-    tables = {j: [0] * n**ell for j in free}
-    for block in family.blocks:
-        flat = flatten_coords((block[s - 1] for s in positions), n)
-        for j in free:
-            tables[j][flat] = block[j - 1]
-    cubes = tuple(LatinCube(ell, n, tuple(tables[j])) for j in free)
+    # exactness makes the projection at positions a bijection onto the grid,
+    # so the blocks sorted by it come in row-major order, like the tables
+    rows = sorted(family.blocks, key=itemgetter(*(s - 1 for s in positions)))
+    free = [j - 1 for j in range(1, k + 1) if j not in positions]
+    cubes = tuple(LatinCube(ell, n, tuple(map(itemgetter(j), rows))) for j in free)
     return CubeSet(ell, n, cubes)
 
 
@@ -75,12 +72,10 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     leave projections uncovered.
     """
     d, n = cube_set.d, cube_set.n
-    volume = check_size(f"n^d = {n}^{d}", n, d)
-    tables = [cube.table for cube in cube_set.cubes]
-    values = zip(*tables) if tables else repeat((), volume)
-    grid = product(range(1, n + 1), repeat=d)  # row-major, like the tables
-    params = Params(len(tables) + d, n, d)
-    return BlockFamily(params, tuple(sorted(map(add, values, grid))))
+    check_size(f"n^d = {n}^{d}", n, d)
+    m = len(cube_set.cubes)
+    column = lift_columns([cube.table for cube in cube_set.cubes], d, n)
+    return BlockFamily(Params(m + d, n, d), tuple(sorted(zip(*map(column, range(1, m + d + 1))))))
 
 
 def mols_to_blocks(squares: CubeSet) -> BlockFamily:

@@ -6,9 +6,10 @@ pass decides each subset: when every cell is hit, and either there are exactly
 as many rows as cells or a count of 2 is allowed, the subset passes.  Only a
 subset that fails it runs the capped counting loop, which locates the witness.
 The checks differ only in what they pass: the block positions (exact, cover),
-the grid axes then the value (Latin), the cube tables (orthogonal), or the
-lift, tables then axes (invertible; by the paper's main theorem, exactness of
-the lift).  Witness rule: subsets in the order given and cells in row-major
+or columns of `core.lift_columns`, the lift's one layout (tables, then grid
+axes): the grid axes then the value (Latin), the cube tables (orthogonal), or
+the whole lift (invertible; by the paper's main theorem, exactness of the
+lift).  Witness rule: subsets in the order given and cells in row-major
 order, so a witness is the lexicographically first offending (subset, value
 tuple) whatever the row order.
 """
@@ -22,7 +23,7 @@ from itertools import combinations, dropwhile, islice, repeat
 from operator import add, itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
-from .core import check_size, unflatten_index
+from .core import check_size, lift_columns, unflatten_index
 
 
 def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None:
@@ -67,13 +68,6 @@ def _block_projections(family: BlockFamily):
     return lambda c: list(map(itemgetter(c - 1), blocks)), combinations(range(1, p.k + 1), p.ell), p.n
 
 
-def _lift_columns(tables, d: int, n: int):
-    """Columns of the lift: the tables, then the d grid axes (last axis fastest)."""
-    m = len(tables)
-    return lambda c: tables[c - 1] if c <= m else (
-        [x for x in range(1, n + 1) for _ in range(n ** (d + m - c))] * n ** (c - m - 1))
-
-
 def _report(witness: Witness | None, verdict: Verdict = Verdict.FAIL) -> VerifyReport:
     return VerifyReport(Verdict.EXACT if witness is None else verdict, witness)
 
@@ -116,7 +110,7 @@ def is_latin(cube: LatinCube) -> LatinCheck:
     """True iff every axis-parallel line of the table is a permutation of {1..n}."""
     d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
     lines = [tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1)]
-    witness = _first_offense(_lift_columns([cube.table], d, cube.n), lines, cube.n, {1})
+    witness = _first_offense(lift_columns([cube.table], d, cube.n), lines, cube.n, {1})
     if witness is None:
         return LatinCheck(True)
     return LatinCheck(False, lines.index(witness.index_set) + 1, witness.values[:-1])
@@ -143,7 +137,7 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
     if m < d:
         raise ValueError(f"orthogonality needs at least d={d} cubes, got {m}")
     tables = [cube.table for cube in cube_set.cubes]
-    w = _first_offense(_lift_columns(tables, d, n), combinations(range(1, m + 1), d), n, {1})
+    w = _first_offense(lift_columns(tables, d, n), combinations(range(1, m + 1), d), n, {1})
     if w is None:
         return OrthogonalityCheck(True)
     return OrthogonalityCheck(False, w.index_set, w.values, w.multiplicity)
@@ -154,4 +148,4 @@ def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     d, n = cube_set.d, cube_set.n
     tables = [cube.table for cube in cube_set.cubes]
     subsets = combinations(range(1, len(tables) + d + 1), d)
-    return _report(_first_offense(_lift_columns(tables, d, n), subsets, n, {1}))
+    return _report(_first_offense(lift_columns(tables, d, n), subsets, n, {1}))

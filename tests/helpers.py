@@ -5,7 +5,7 @@ they stay independent of the library's bucket-counting passes.
 `BlockFamily` validation is checked against its earlier per-block loop.  The
 text format oracles convert and join one token at a time.  The minimum-cover
 oracles are the earlier set-based search and the closed form for n = 2,
-ell = 2.
+ell = 2.  The lift and extraction are rebuilt one domain point at a time.
 """
 
 from itertools import combinations, product
@@ -89,6 +89,16 @@ def lifted_family(cube_set: CubeSet) -> BlockFamily:
         for x in product(range(1, n + 1), repeat=d)
     )
     return BlockFamily(Params(len(cubes) + d, n, d), blocks)
+
+
+def extracted_cubes(family: BlockFamily, positions) -> CubeSet:
+    """Cubes read point by point: the block at each projection, free symbols in grid order."""
+    k, n, ell = family.params.k, family.params.n, family.params.ell
+    at = {tuple(block[s - 1] for s in positions): block for block in family.blocks}
+    grid = list(product(range(1, n + 1), repeat=ell))
+    free = [j for j in range(1, k + 1) if j not in positions]
+    tables = (tuple(at[x][j - 1] for x in grid) for j in free)
+    return CubeSet(ell, n, tuple(LatinCube(ell, n, table) for table in tables))
 
 
 def covers_every_pair(blocks, k, n, ell):

@@ -290,11 +290,15 @@ def test_minsearch_guard_exits_2(capsys):
     [
         (["cover", "--k", "8", "--n", "1", "--l", "5"], "size=1 lower=1 lifted_order=1"),
         (["minsearch", "--k", "8", "--n", "1", "--l", "5"], "1"),
+        # C(100000, 2) pairs, far above any table the search could build
+        (["minsearch", "--k", "100000", "--n", "1", "--l", "2"], "1"),
     ],
-    ids=["cover", "minsearch"],
+    ids=["cover", "minsearch", "minsearch-wide"],
 )
 def test_order_one_commands_answer_with_one_block(capsys, argv, line):
+    start = time.perf_counter()
     assert main(argv) == 0
+    assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().out == line + "\n"
 
 
@@ -376,7 +380,7 @@ def test_over_large_input_files_exit_2(tmp_path, capsys, header, argv, power):
         (["cover", "--k", "100000", "--n", "2", "--l", "2"], "k*n^l = 100000*100003^2"),
         (["cover", "--k", "3", "--n", "1000000000000000003", "--l", "2"], "k*n^l"),
         (["minsearch", "--k", "100000000", "--n", "3", "--l", "2"], "exceeds guard 4096"),
-        (["minsearch", "--k", "100000", "--n", "1", "--l", "2"], "(k*n)^l"),
+        (["minsearch", "--k", "12", "--n", "2", "--l", "6"], "(k*n)^l"),
     ],
 )
 def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):

@@ -8,10 +8,15 @@ Damaged files get one textual change each: a token written as 07, +3, 0,
 n+1 or x, an extra or a missing token, a blank line, or CRLF line ends.
 `BlockFamily` validation is compared with its earlier per-block loop on
 blocks one symbol too short or too long and symbols one outside 1..n.
+The lift is compared with the point-by-point lift on any tables, Latin or
+not, and extraction with a point-by-point reading of shuffled exact families
+at every valid choice of positions.
 The minimum-cover search is compared with the earlier set-based search on
 every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
 subset search where n^k <= 16.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 from helpers import (
     check_blocks_reference,
     exact_cover_size_reference,
+    extracted_cubes,
     first_latin_offense,
     first_orthogonal_offense,
     first_projection_offense,
@@ -44,6 +50,7 @@ from partite import (
     is_l_extendable,
     is_latin,
     is_mutually_invertible,
+    lift_cubes,
 )
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from test_cover import brute_force_minimum_cover
@@ -188,6 +195,32 @@ def test_invertibility_matches_oracle_on_the_lift(cube_set):
 
 
 @st.composite
+def unchecked_cube_sets(draw):
+    """Any m = 0..3 tables of dimension 1..3 and order 1..4, Latin or not."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    table = st.tuples(*[st.integers(1, n)] * n**d)
+    tables = draw(st.lists(table, max_size=3))
+    return CubeSet(d, n, tuple(LatinCube(d, n, t) for t in tables))
+
+
+@EXAMPLES
+@given(unchecked_cube_sets())
+def test_lift_matches_point_by_point_lift(cube_set):
+    expected = lifted_family(cube_set)
+    assert lift_cubes(cube_set) == BlockFamily(expected.params, tuple(sorted(expected.blocks)))
+
+
+@EXAMPLES
+@given(st.sampled_from(EXACT + [(3, 1, 2)]), st.data())
+def test_extraction_matches_point_by_point_reading(params, data):
+    k, n, ell = params
+    family = construct(k, n, ell)
+    shuffled = BlockFamily(family.params, tuple(data.draw(st.permutations(family.blocks))))
+    for positions in combinations(range(1, k + 1), ell):
+        assert extract_cubes(shuffled, positions) == extracted_cubes(family, positions)
+
+
+@st.composite
 def damaged_text(draw, text: str, n: int) -> str:
     """text with one change: a rewritten, extra or missing token, a blank line, or CRLF."""
     damage = draw(st.sampled_from(
@@ -250,9 +283,11 @@ def search_instances(draw):
 def test_exact_cover_size_matches_set_based_search(instance):
     # a refusal (the covering incumbent over the size limit) must match too
     reference = _outcome(exact_cover_size_reference, *instance, budget=100_000)
+    k, n, ell = instance
+    if n == 1:  # one block covers G(k, 1); the set-based search refused (k*1)^l past the limit
+        reference = 1
     if reference is None:
         return
     assert _outcome(exact_cover_size, *instance) == reference
-    k, n, ell = instance
     if n**k <= 16 and isinstance(reference, int):
         assert brute_force_minimum_cover(k, n, ell, reference) == reference
