@@ -102,9 +102,9 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     family = cover.build_covering(args.k, args.n, args.l)
     lifted = cover.lifting_order(args.k, args.n, args.l)
     lower = args.n**args.l
-    print(f"size={len(family.blocks)} lower={lower} lifted_order={lifted}")
-    if args.output:
+    if args.output:  # written first, so a failed write prints nothing on stdout
         Path(args.output).write_text(format_blocks(family))
+    print(f"size={len(family.blocks)} lower={lower} lifted_order={lifted}")
     return 0
 
 

@@ -161,9 +161,10 @@ class LatinCube:
         if volume != entries:
             expected = volume if volume <= limit else f"{self.n}^{self.d}"
             raise ValueError(f"table has {entries} entries, expected n^d = {expected}")
-        for v in self.table:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"symbol {v} outside 1..{self.n}")
+        # decide on the distinct symbols; only a failing table is scanned for the first
+        if not all(1 <= v <= self.n for v in set(self.table)):
+            bad = next(v for v in self.table if not 1 <= v <= self.n)
+            raise ValueError(f"symbol {bad} outside 1..{self.n}")
 
     def value(self, coords: Sequence[int]) -> int:
         return self.table[flatten_coords(coords, self.n)]

@@ -17,7 +17,7 @@ from .core import (
     IndexSet,
     LatinCube,
     Params,
-    Verdict,
+    Witness,
     check_size,
     lift_columns,
 )
@@ -27,6 +27,15 @@ _DATA_DIR = Path(__file__).parent / "data"
 
 # Order-4 triple of mutually orthogonal 3-cubes whose lift is not extendable.
 ORTHOGONAL_NOT_INVERTIBLE_PATH = _DATA_DIR / "orthogonal_not_invertible_d3_n4.cubes"
+
+
+def _require_exact(problem: str, witness: Witness | None) -> None:
+    """Refuse an input whose exactness check found a witness, naming its first offense."""
+    if witness is not None:
+        raise ValueError(
+            f"{problem} (first offense at positions {witness.index_set}, "
+            f"values {witness.values}, multiplicity {witness.multiplicity})"
+        )
 
 
 def extract_cubes(family: BlockFamily, positions: IndexSet) -> CubeSet:
@@ -49,14 +58,7 @@ def extract_cubes(family: BlockFamily, positions: IndexSet) -> CubeSet:
         raise ValueError(
             f"positions must be {ell} strictly increasing values in 1..{k}, got {positions}"
         )
-    report = verify.is_l_extendable(family)
-    if report.verdict is not Verdict.EXACT:
-        w = report.witness
-        raise ValueError(
-            "family is not an exact decomposition "
-            f"(first offense at positions {w.index_set}, values {w.values}, "
-            f"multiplicity {w.multiplicity})"
-        )
+    _require_exact("family is not an exact decomposition", verify.is_l_extendable(family).witness)
     # exactness makes the projection at positions a bijection onto the grid,
     # so the blocks sorted by it come in row-major order, like the tables
     rows = sorted(family.blocks, key=itemgetter(*(s - 1 for s in positions)))
@@ -81,26 +83,20 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
 def mols_to_blocks(squares: CubeSet) -> BlockFamily:
     """Lift a system of mutually orthogonal Latin squares into an exact family.
 
-    Same output as lift_cubes, but the preconditions are checked (each square
-    Latin; every pair orthogonal when there are two or more) and in return the
-    lifted family is guaranteed exact.
+    Same output as lift_cubes, but refused unless the squares are mutually
+    invertible, which by the paper's main theorem makes the lift exact.  At
+    d = 2 invertibility is the Latin property plus orthogonality: the lift's
+    column pairs are two squares, a square and a grid axis, or the grid itself.
     """
     if squares.d != 2:
         raise ValueError(f"squares must have dimension 2, got d={squares.d}")
-    for i, square in enumerate(squares.cubes, start=1):
-        check = verify.is_latin(square)
-        if not check.ok:
-            raise ValueError(
-                f"square {i} is not Latin (axis {check.axis}, line at {check.fixed})"
-            )
-    if len(squares.cubes) >= 2:
-        check = verify.are_mutually_orthogonal(squares)
-        if not check.ok:
-            raise ValueError(
-                f"squares {check.cubes} are not orthogonal: image {check.values} "
-                f"hit {check.multiplicity} times"
-            )
-    return lift_cubes(squares)
+    family = lift_cubes(squares)  # its n^d guard comes before the check's
+    w = verify.is_mutually_invertible(squares).witness
+    if w is not None:  # at ell = 2, invertible iff Latin and orthogonal
+        a, b = w.index_set
+        _require_exact(f"squares {w.index_set} are not orthogonal" if b <= len(squares.cubes)
+                       else f"square {a} is not Latin", w)
+    return family
 
 
 def blocks_to_mols(family: BlockFamily) -> CubeSet:

@@ -6,12 +6,24 @@ they stay independent of the library's bucket-counting passes.
 text format oracles convert and join one token at a time.  The minimum-cover
 oracles are the earlier set-based search and the closed form for n = 2,
 ell = 2.  The lift and extraction are rebuilt one domain point at a time.
+`LatinCube` symbol validation is checked against its earlier per-symbol loop,
+and `mols_to_blocks` against its earlier Latin-then-orthogonal decision.
+`exact_by_distance` decides exactness without counting any projection.
 """
 
 from itertools import combinations, product
 from math import comb
 
-from partite import BlockFamily, CubeSet, LatinCube, Params, build_covering, enumerate_index_sets
+from partite import (
+    BlockFamily,
+    CubeSet,
+    LatinCube,
+    Params,
+    build_covering,
+    enumerate_index_sets,
+    lift_cubes,
+    verify,
+)
 from partite.core import capped_power, check_size
 from partite.cover import DEFAULT_BUDGET, SEARCH_VOLUME_GUARD
 
@@ -41,6 +53,50 @@ def check_blocks_reference(blocks, params: Params) -> None:
         for v in block:
             if not 1 <= v <= params.n:
                 raise ValueError(f"symbol {v} outside 1..{params.n} in block {block}")
+
+
+def exact_by_distance(family: BlockFamily) -> bool:
+    """Exact iff there are n^ell blocks and any two agree in at most ell - 1 positions.
+
+    Two blocks sharing ell positions would hit one cell twice, and n^ell blocks
+    that never do fill each index set's n^ell cells once: an index-unity OA is
+    an MDS code of minimum distance k - ell + 1.  O(N^2 k); keep N below ~700.
+    """
+    ell, blocks = family.params.ell, family.blocks
+    if len(blocks) != family.params.n**ell:
+        return False
+    return all(
+        sum(map(int.__eq__, a, b)) < ell for a, b in combinations(blocks, 2)
+    )
+
+
+def check_cube_symbols_reference(n: int, table) -> None:
+    """The per-symbol range check LatinCube ran before its bulk decide step."""
+    for v in table:
+        if not 1 <= v <= n:
+            raise ValueError(f"symbol {v} outside 1..{n}")
+
+
+def mols_to_blocks_reference(squares: CubeSet) -> BlockFamily:
+    """The Latin-then-orthogonal decision mols_to_blocks made before it checked
+    invertibility, kept verbatim apart from this docstring.
+    """
+    if squares.d != 2:
+        raise ValueError(f"squares must have dimension 2, got d={squares.d}")
+    for i, square in enumerate(squares.cubes, start=1):
+        check = verify.is_latin(square)
+        if not check.ok:
+            raise ValueError(
+                f"square {i} is not Latin (axis {check.axis}, line at {check.fixed})"
+            )
+    if len(squares.cubes) >= 2:
+        check = verify.are_mutually_orthogonal(squares)
+        if not check.ok:
+            raise ValueError(
+                f"squares {check.cubes} are not orthogonal: image {check.values} "
+                f"hit {check.multiplicity} times"
+            )
+    return lift_cubes(squares)
 
 
 def _cube_value(cube: LatinCube, coords) -> int:

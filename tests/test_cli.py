@@ -261,6 +261,14 @@ def test_cover_command_prints_stats(tmp_path, capsys):
     assert main(["verify", str(out), "--mode", "cover"]) == 0
 
 
+def test_cover_command_unwritable_output_prints_nothing(tmp_path, capsys):
+    out = tmp_path / "missing" / "c.blocks"
+    assert main(["cover", "--k", "4", "--n", "2", "--l", "2", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_minsearch_command_prints_minimum(capsys):
     assert main(["minsearch", "--k", "4", "--n", "2", "--l", "2"]) == 0
     assert capsys.readouterr().out.strip() == "5"

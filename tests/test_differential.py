@@ -11,6 +11,10 @@ blocks one symbol too short or too long and symbols one outside 1..n.
 The lift is compared with the point-by-point lift on any tables, Latin or
 not, and extraction with a point-by-point reading of shuffled exact families
 at every valid choice of positions.
+`LatinCube` validation is compared with its earlier per-symbol loop on
+symbols one outside 1..n, and `mols_to_blocks` with its earlier
+Latin-then-orthogonal decision on squares of order 1..4 mixing MOLS,
+non-Latin and non-orthogonal members.
 The minimum-cover search is compared with the earlier set-based search on
 every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
 subset search where n^k <= 16.
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     check_blocks_reference,
+    check_cube_symbols_reference,
     exact_cover_size_reference,
     extracted_cubes,
     first_latin_offense,
@@ -32,6 +37,7 @@ from helpers import (
     format_blocks_reference,
     format_cubes_reference,
     lifted_family,
+    mols_to_blocks_reference,
     parse_blocks_reference,
     parse_cubes_reference,
 )
@@ -51,6 +57,7 @@ from partite import (
     is_latin,
     is_mutually_invertible,
     lift_cubes,
+    mols_to_blocks,
 )
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from test_cover import brute_force_minimum_cover
@@ -219,6 +226,69 @@ def test_extraction_matches_point_by_point_reading(params, data):
     for positions in combinations(range(1, k + 1), ell):
         assert extract_cubes(shuffled, positions) == extracted_cubes(family, positions)
 
+
+
+@settings(EXAMPLES, max_examples=300)
+@given(st.integers(1, 3).flatmap(lambda d: st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(d), st.just(n), st.lists(
+        st.integers(0, n + 1), min_size=n**d, max_size=n**d)))))
+def test_cube_validation_matches_per_symbol_loop(drawn):
+    d, n, table = drawn
+    try:
+        check_cube_symbols_reference(n, table)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            LatinCube(d, n, tuple(table))
+        assert str(raised.value) == str(error)
+    else:
+        assert LatinCube(d, n, tuple(table)).table == tuple(table)
+
+
+# multiplication in GF(4) on residues 0..3; a + b there is a ^ b
+GF4_TIMES = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+
+
+def _mols(n: int) -> list[list[int]]:
+    """n - 1 MOLS of order n (one square for n = 1): c*x + y over Z_n, or over GF(4)."""
+    grid = [(x, y) for x in range(n) for y in range(n)]
+    if n == 4:
+        return [[(GF4_TIMES[c][x] ^ y) + 1 for x, y in grid] for c in range(1, 4)]
+    return [[(c * x + y) % n + 1 for x, y in grid] for c in range(1, max(n, 2))]
+
+
+@st.composite
+def square_sets(draw):
+    """m = 0..3 squares of order 1..4: MOLS members, repeated or with rows permuted, or any table."""
+    n = draw(st.integers(1, 4))
+    pool = _mols(n)
+    tables = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["mols", "mols", "rows", "any"]))
+        if kind == "any":
+            tables.append(draw(st.lists(st.integers(1, n), min_size=n * n, max_size=n * n)))
+            continue
+        table = draw(st.sampled_from(pool))
+        if kind == "rows":  # still Latin, rarely orthogonal to its pool mates
+            order = draw(st.permutations(range(n)))
+            table = [v for x in order for v in table[x * n : (x + 1) * n]]
+        tables.append(table)
+    return CubeSet(2, n, tuple(LatinCube(2, n, tuple(t)) for t in tables))
+
+
+@settings(EXAMPLES, max_examples=300)
+@given(square_sets())
+def test_mols_to_blocks_matches_latin_then_orthogonal_decision(squares):
+    reference = _outcome(mols_to_blocks_reference, squares)
+    outcome = _outcome(mols_to_blocks, squares)
+    if isinstance(reference, BlockFamily):
+        assert outcome == reference == lift_cubes(squares)
+        return
+    assert isinstance(outcome, str)
+    a, b = is_mutually_invertible(squares).witness.index_set
+    orthogonal = b <= len(squares.cubes)
+    assert ("not orthogonal" in outcome) is orthogonal
+    assert outcome.startswith(f"squares {a, b} are not orthogonal (" if orthogonal
+                              else f"square {a} is not Latin (")
 
 @st.composite
 def damaged_text(draw, text: str, n: int) -> str:
