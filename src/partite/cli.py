@@ -164,10 +164,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _misused_flag(args: argparse.Namespace) -> str | None:
+    """Why a flag of `cubes` would be ignored or is missing, or None."""
+    if args.command != "cubes":
+        return None
+    if args.action is not None and not args.output:
+        return "--action requires -o/--output"
+    if args.check is not None and args.output is not None:
+        return "-o/--output applies only to --action"
+    if args.positions is not None and args.action != "extract":
+        return "--positions applies only to --action extract"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "action", None) in _ACTIONS and not args.output:
-        print("error: --action requires -o/--output", file=sys.stderr)
+    problem = _misused_flag(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 
 from .core import BlockFamily, Params, check_size
 
@@ -98,12 +98,13 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
         raise ValueError(f"ell mismatch: {left.params.ell} vs {right.params.ell}")
     p = left.params.n
     params = Params(left.params.k, p * right.params.n, left.params.ell)
-    blocks = [
-        tuple((w - 1) * p + v for v, w in zip(x, y))
-        for x in left.blocks
-        for y in right.blocks
+    # row (i, j) of every column pairs left block i with right block j; the
+    # columns are generators, so only the zipped blocks are ever held whole
+    columns = [
+        (v + (w - 1) * p for v, w in product(left_column, right_column))
+        for left_column, right_column in zip(zip(*left.blocks), zip(*right.blocks))
     ]
-    return BlockFamily(params, tuple(sorted(blocks)))
+    return BlockFamily(params, tuple(sorted(zip(*columns))))
 
 
 def construct(k: int, n: int, ell: int) -> BlockFamily:

@@ -1,26 +1,28 @@
 """One projection kernel behind all five checks.
 
 The kernel projects rows onto each subset of columns in turn and returns the
-first value tuple (cell) whose hit count, capped at 2, is not allowed.  A mark
-pass decides each subset: when every cell is hit, and either there are exactly
-as many rows as cells or a count of 2 is allowed, the subset passes.  Only a
-subset that fails it runs the capped counting loop, which locates the witness.
-The checks differ only in what they pass: the block positions (exact, cover),
-or columns of `core.lift_columns`, the lift's one layout (tables, then grid
-axes): the grid axes then the value (Latin), the cube tables (orthogonal), or
-the whole lift (invertible; by the paper's main theorem, exactness of the
-lift).  Witness rule: subsets in the order given and cells in row-major
-order, so a witness is the lexicographically first offending (subset, value
-tuple) whatever the row order.
+first value tuple (cell) whose hit count, capped at 2, is not allowed.  Each
+column is packed once into one int with an unsigned field per row, so a
+subset's keys take a few whole-column int operations.  A mark pass decides
+each subset (every cell hit, and as many rows as cells or 2 allowed); only a
+failing subset runs the capped counting loop, which locates the witness.  The
+checks differ only in their columns: the block positions (exact, cover), or
+`core.lift_columns`, the lift's layout (tables, then grid axes): the grid axes
+then the value (Latin), the cube tables (orthogonal), or the whole lift
+(invertible; by the main theorem, exactness of the lift).  Witness rule:
+subsets in the order given, cells in row-major order, so a witness is the
+lexicographically first offending (subset, value tuple) whatever the row order.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, dropwhile, islice, repeat
-from operator import add, itemgetter, setitem
+from operator import itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
 from .core import check_size, lift_columns, unflatten_index
@@ -29,31 +31,29 @@ from .core import check_size, lift_columns, unflatten_index
 def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None:
     """First (subset, cell, count capped at 2) whose count is not in allowed, or None.
 
-    allowed always holds 1.  column(c) runs once per column, when a subset
-    first needs it.  Keys use the 1-based symbols as digits, so the table
-    starts at the key of (1, ..., 1).  A table of n^w cells above
-    core.SIZE_LIMIT raises ValueError unallocated.
+    allowed always holds 1.  column(c) runs once, and only its packing, one int
+    of array("I") fields, is kept.  Keys, the Horner fold acc * n + packed(c) of
+    1-based digits, lie in [offset, offset + size) with offset + size <= 2 * n^w;
+    check_size raises ValueError above core.SIZE_LIMIT first, so no field carries.
     """
-    column, prefix, scaled = cache(column), None, None
-    allowed_bytes, repeats_allowed = bytes(allowed), 2 in allowed
+    itemsize, allowed_bytes, repeats_allowed = array("I").itemsize, bytes(allowed), 2 in allowed
+    packed = cache(lambda c: (len(f := array("I", column(c))), int.from_bytes(f, sys.byteorder)))
     if n == 1:  # each subset has one cell, hit by every row: the first decides for all
         subsets = islice(subsets, 1)
     for subset in subsets:
         width = len(subset)
         size = check_size(f"n^{width} = {n}^{width}", n, width)
-        if subset[:-1] != prefix:  # lexicographic subsets share their prefix keys
-            prefix, scaled = subset[:-1], repeat(0)
-            for c in prefix:
-                scaled = [(key + v) * n for key, v in zip(scaled, column(c))]
+        rows, acc = packed(subset[0])  # (rows, column as one int of row fields)
+        acc = reduce(lambda acc, c: acc * n + packed(c)[1], subset[1:], acc)
+        keys = memoryview(acc.to_bytes(rows * itemsize, sys.byteorder)).cast("I")
         offset = (size - 1) // (n - 1) if n > 1 else width
-        last = column(subset[-1])
         marks = bytearray(offset + size)
-        deque(map(setitem, repeat(marks), map(add, scaled, last), repeat(1)), 0)
+        deque(map(setitem, repeat(marks), keys, repeat(1)), 0)
         # every cell hit by exactly size rows means hit once each (pigeonhole)
-        if marks.find(0, offset) < 0 and (len(last) == size or repeats_allowed):
+        if marks.find(0, offset) < 0 and (rows == size or repeats_allowed):
             continue
         counts = bytearray(offset + size)
-        for key in map(add, scaled, last):
+        for key in keys:
             if counts[key] < 2:
                 counts[key] += 1
         rest = counts[offset:].lstrip(allowed_bytes)

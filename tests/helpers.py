@@ -9,6 +9,7 @@ ell = 2.  The lift and extraction are rebuilt one domain point at a time.
 `LatinCube` symbol validation is checked against its earlier per-symbol loop,
 and `mols_to_blocks` against its earlier Latin-then-orthogonal decision.
 `exact_by_distance` decides exactness without counting any projection.
+`product_decomposition` is checked against its earlier block-by-block product.
 """
 
 from itertools import combinations, product
@@ -97,6 +98,24 @@ def mols_to_blocks_reference(squares: CubeSet) -> BlockFamily:
                 f"hit {check.multiplicity} times"
             )
     return lift_cubes(squares)
+
+
+def product_decomposition_reference(left: BlockFamily, right: BlockFamily) -> BlockFamily:
+    """The block-by-block product product_decomposition built before it went
+    column-wise, kept verbatim apart from this docstring.
+    """
+    if left.params.k != right.params.k:
+        raise ValueError(f"k mismatch: {left.params.k} vs {right.params.k}")
+    if left.params.ell != right.params.ell:
+        raise ValueError(f"ell mismatch: {left.params.ell} vs {right.params.ell}")
+    p = left.params.n
+    params = Params(left.params.k, p * right.params.n, left.params.ell)
+    blocks = [
+        tuple((w - 1) * p + v for v, w in zip(x, y))
+        for x in left.blocks
+        for y in right.blocks
+    ]
+    return BlockFamily(params, tuple(sorted(blocks)))
 
 
 def _cube_value(cube: LatinCube, coords) -> int:

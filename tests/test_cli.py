@@ -188,6 +188,25 @@ def test_cubes_action_requires_output(capsys):
     assert main(["cubes", FIXTURE, "--action", "lift"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--action", "lift", "--positions", "9", "-o", "y"], "--positions applies only to --action extract"),
+        (["--action", "mols2blocks", "--positions", "1,2", "-o", "y"], "--positions applies only to --action extract"),
+        (["--check", "latin", "--positions", "1"], "--positions applies only to --action extract"),
+        (["--check", "latin", "-o", "y"], "-o/--output applies only to --action"),
+        (["--check", "invertible", "--output", "y"], "-o/--output applies only to --action"),
+    ],
+)
+def test_cubes_misused_flags_exit_2(tmp_path, capsys, flags, message):
+    flags = [str(tmp_path / f) if f == "y" else f for f in flags]
+    assert main(["cubes", FIXTURE, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cubes_orthogonal_check_needs_enough_cubes(tmp_path, capsys):
     path = tmp_path / "one.cubes"
     path.write_text("cubes 2 2 1\n1 2\n2 1\n")

@@ -15,6 +15,8 @@ at every valid choice of positions.
 symbols one outside 1..n, and `mols_to_blocks` with its earlier
 Latin-then-orthogonal decision on squares of order 1..4 mixing MOLS,
 non-Latin and non-orthogonal members.
+`product_decomposition` is compared with its earlier block-by-block product
+on any two families of orders p != q and on `construct`'s two-prime folds.
 The minimum-cover search is compared with the earlier set-based search on
 every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
 subset search where n^k <= 16.
@@ -40,6 +42,7 @@ from helpers import (
     mols_to_blocks_reference,
     parse_blocks_reference,
     parse_cubes_reference,
+    product_decomposition_reference,
 )
 
 from partite import (
@@ -58,6 +61,8 @@ from partite import (
     is_mutually_invertible,
     lift_cubes,
     mols_to_blocks,
+    product_decomposition,
+    vandermonde_blocks,
 )
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from test_cover import brute_force_minimum_cover
@@ -338,6 +343,35 @@ def test_cube_format_matches_reference(cube_set, data):
     assert text == format_cubes_reference(cube_set)
     damaged = data.draw(damaged_text(text, cube_set.n))
     assert _outcome(parse_cubes, damaged) == _outcome(parse_cubes_reference, damaged)
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two families under common k and ell, of orders 1..4 each, with any blocks."""
+    ell = draw(st.integers(1, 3))
+    k = draw(st.integers(ell, 4))
+
+    def family(n):
+        blocks = draw(st.lists(st.tuples(*[st.integers(1, n)] * k), max_size=6))
+        return BlockFamily(Params(k, n, ell), tuple(blocks))
+
+    return family(draw(st.integers(1, 4))), family(draw(st.integers(1, 4)))
+
+
+@EXAMPLES
+@given(factor_pairs())
+def test_product_matches_block_by_block_product(pair):
+    assert product_decomposition(*pair) == product_decomposition_reference(*pair)
+
+
+# orders 15 = 3 * 5 and 35 = 5 * 7: the (w - 1) * p + v symbol order is pinned
+# by factors p != q, in construct's fold and the other way round
+@pytest.mark.parametrize("k, n, p, q", [(3, 15, 3, 5), (4, 35, 5, 7)])
+def test_two_prime_products_match_block_by_block_product(k, n, p, q):
+    left, right = vandermonde_blocks(k, p, 2), vandermonde_blocks(k, q, 2)
+    assert construct(k, n, 2) == product_decomposition_reference(left, right)
+    assert product_decomposition(right, left) == product_decomposition_reference(right, left)
+    assert product_decomposition(right, left) != construct(k, n, 2)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -256,3 +257,42 @@ def test_mark_pass_decisions_agree_with_brute_force_oracle(family, cover_verdict
     assert cover.verdict is cover_verdict
     expected = dup if miss is None else miss
     assert (cover.witness.index_set, cover.witness.values, cover.witness.multiplicity) == expected
+
+
+def first_offense_by_counter(family, allowed):
+    """First (positions, values, capped count) not in allowed, one Counter per index set."""
+    k, n, ell = family.params.k, family.params.n, family.params.ell
+    for positions in combinations(range(1, k + 1), ell):
+        hits = Counter(tuple(block[s - 1] for s in positions) for block in family.blocks)
+        for values in product(range(1, n + 1), repeat=ell):
+            if min(hits[values], 2) not in allowed:
+                return positions, values, min(hits[values], 2)
+    return None
+
+
+# 257^2 = 66,049 blocks whose keys run from 258 to 66,306: past a 16-bit key
+# field, so a narrower field or a carry between fields changes the answer
+@pytest.fixture(scope="module")
+def wide_family():
+    return construct(3, 257, 2)
+
+
+def test_keys_above_16_bits_verify_exact(wide_family):
+    assert is_l_extendable(wide_family).verdict is Verdict.EXACT
+    assert is_covering(wide_family).verdict is Verdict.EXACT
+
+
+def test_witness_at_a_key_above_16_bits_matches_a_counter_oracle(wide_family):
+    *rest, last = wide_family.blocks  # the lexicographically last block, (257, 257, 257)
+    assert last[0] == 257
+    damaged = BlockFamily(wide_family.params, (*rest, last[:-1] + (1,)))
+    exact = is_l_extendable(damaged)
+    dup = first_offense_by_counter(damaged, {1})
+    assert dup == ((1, 3), (257, 1), 2)
+    assert (exact.witness.index_set, exact.witness.values, exact.witness.multiplicity) == dup
+
+    cover = is_covering(damaged)
+    miss = first_offense_by_counter(damaged, {1, 2})
+    assert miss == ((1, 3), (257, 257), 0)
+    assert cover.verdict is Verdict.FAIL
+    assert (cover.witness.index_set, cover.witness.values, cover.witness.multiplicity) == miss
