@@ -53,7 +53,7 @@ def _extract(text: str, positions: str | None) -> str:
     family = parse_blocks(text)
     k, ell = family.params.k, family.params.ell
     chosen = tuple(range(k - ell + 1, k + 1))
-    if positions:
+    if positions is not None:
         try:
             chosen = tuple(int(tok) for tok in positions.split(","))
         except ValueError:

@@ -1,11 +1,11 @@
 """Exact decomposition builders.
 
 Prime orders come from evaluating degree-(ell-1) polynomials over Z_n at the
-colour indices 1..k: the coefficient tuples enumerate the blocks, and any ell
-of the evaluation points determine the coefficients uniquely because the
-corresponding Vandermonde matrix is invertible mod a prime >= k.  Composite
-admissible orders are assembled from their prime factors with a Kronecker-style
-product on symbols.
+colour indices 1..k: each block is the polynomial through its symbols at
+colours 1..ell, and any ell of the evaluation points determine the polynomial
+uniquely because the corresponding Vandermonde matrix is invertible mod a
+prime >= k.  Composite admissible orders are assembled from their prime
+factors with a Kronecker-style product on symbols.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product
+from math import prod
 
 from .core import BlockFamily, Params, check_size
 
@@ -58,12 +59,14 @@ def smallest_blocking_prime(n: int, k: int) -> int | None:
 
 
 def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
-    """All n^ell polynomial-evaluation blocks over a prime order n >= k.
+    """All n^ell polynomial-evaluation blocks over a prime order n >= k, sorted.
 
-    For each coefficient tuple (a_1..a_ell) over residues {0..n-1}, the block
-    symbol at colour c is (sum_j c^(j-1) * a_j mod n) + 1.  Any ell vertices in
-    distinct colour classes pin the coefficients uniquely, so the family is an
-    exact decomposition.
+    Each block is the polynomial of degree < ell through its residues
+    x_1..x_ell at colours 1..ell: the symbol at colour c is
+    (sum_i L_i(c) * x_i mod n) + 1 for the Lagrange basis L_i over the nodes
+    1..ell.  Any ell vertices in distinct colour classes pin the polynomial,
+    so the family is exact.  As L_i(c) = [i = c] for c <= ell, colours 1..ell
+    run through the grid in lexicographic order: the rows come out sorted.
     """
     params = Params(k, n, ell)
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
@@ -73,15 +76,16 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
         raise ValueError(f"n >= k required (n={n}, k={k})")
     if not is_prime(n):
         raise ValueError(f"n must be prime (n={n})")
-    # row r of every column belongs to the r-th coefficient tuple in lexicographic order
+    # row r of every column belongs to the r-th (x_1..x_ell); each i - j is a unit
+    # mod n, as 0 < |i - j| < ell <= n
     columns = []
     for c in range(1, k + 1):
         column = [1]
-        for j in range(ell):
-            step = pow(c, j, n)
+        for i in range(1, ell + 1):
+            step = prod((c - j) * pow(i - j, -1, n) for j in range(1, ell + 1) if j != i) % n
             column = [(x - 1 + step * a) % n + 1 for x in column for a in range(n)]
         columns.append(column)
-    return BlockFamily(params, tuple(sorted(zip(*columns))))
+    return BlockFamily(params, tuple(zip(*columns)))
 
 
 def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:

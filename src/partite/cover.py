@@ -14,7 +14,8 @@ minimum, so a settled search is exact.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
+from operator import ne
 
 from .construct import construct, smallest_blocking_prime
 from .core import BlockFamily, Params, capped_power, check_size, enumerate_index_sets
@@ -45,16 +46,21 @@ def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
     The fusion map v -> ((v-1) mod n_target) + 1 is surjective and balanced
     and fixes symbols already in range, so every projection tuple over the
     target order stays covered by the image of its exact preimage block.
+
+    Columns map through a lookup table.  The map fixes 1..n_target, so a sorted
+    family's rows move only among rows sharing their prefix before the first
+    symbol above n_target, and the sort is close to linear there (any family
+    is accepted).  Sorted duplicates are neighbours; only the first is kept.
     """
     p = family.params
     if n_target < 1:
         raise ValueError(f"n_target >= 1 required (n_target={n_target})")
     if n_target > p.n:
         raise ValueError(f"cannot fuse order {p.n} up to {n_target}")
-    fused = {
-        tuple((v - 1) % n_target + 1 for v in block) for block in family.blocks
-    }
-    return BlockFamily(Params(p.k, n_target, p.ell), tuple(sorted(fused)))
+    table = [0, *((v - 1) % n_target + 1 for v in range(1, p.n + 1))]
+    rows = sorted(zip(*(map(table.__getitem__, column) for column in zip(*family.blocks))))
+    unique = compress(rows, map(ne, rows, [None, *rows]))
+    return BlockFamily(Params(p.k, n_target, p.ell), tuple(unique))
 
 
 def lifting_order(k: int, n: int, ell: int) -> int:

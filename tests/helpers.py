@@ -10,6 +10,8 @@ ell = 2.  The lift and extraction are rebuilt one domain point at a time.
 and `mols_to_blocks` against its earlier Latin-then-orthogonal decision.
 `exact_by_distance` decides exactness without counting any projection.
 `product_decomposition` is checked against its earlier block-by-block product.
+`fuse` is checked against its earlier set-then-sort fold, and
+`vandermonde_blocks` against its earlier coefficient enumeration and sort.
 """
 
 from itertools import combinations, product
@@ -25,6 +27,7 @@ from partite import (
     lift_cubes,
     verify,
 )
+from partite.construct import is_prime
 from partite.core import capped_power, check_size
 from partite.cover import DEFAULT_BUDGET, SEARCH_VOLUME_GUARD
 
@@ -116,6 +119,46 @@ def product_decomposition_reference(left: BlockFamily, right: BlockFamily) -> Bl
         for y in right.blocks
     ]
     return BlockFamily(params, tuple(sorted(blocks)))
+
+
+def fuse_reference(family: BlockFamily, n_target: int) -> BlockFamily:
+    """The set-then-sort fold fuse ran before it mapped columns through a
+    table, kept verbatim apart from this docstring.
+    """
+    p = family.params
+    if n_target < 1:
+        raise ValueError(f"n_target >= 1 required (n_target={n_target})")
+    if n_target > p.n:
+        raise ValueError(f"cannot fuse order {p.n} up to {n_target}")
+    fused = {
+        tuple((v - 1) % n_target + 1 for v in block) for block in family.blocks
+    }
+    return BlockFamily(Params(p.k, n_target, p.ell), tuple(sorted(fused)))
+
+
+def vandermonde_blocks_reference(k: int, n: int, ell: int) -> BlockFamily:
+    """The coefficient enumeration and sort vandermonde_blocks ran before it
+    enumerated blocks by their symbols at colours 1..ell, kept verbatim apart
+    from this docstring: the symbol at colour c is (sum_j c^(j-1) * a_j mod n)
+    + 1 for each coefficient tuple (a_1..a_ell).
+    """
+    params = Params(k, n, ell)
+    check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
+    if ell < 2:
+        raise ValueError(f"ell >= 2 required for the polynomial construction (ell={ell})")
+    if n < k:
+        raise ValueError(f"n >= k required (n={n}, k={k})")
+    if not is_prime(n):
+        raise ValueError(f"n must be prime (n={n})")
+    # row r of every column belongs to the r-th coefficient tuple in lexicographic order
+    columns = []
+    for c in range(1, k + 1):
+        column = [1]
+        for j in range(ell):
+            step = pow(c, j, n)
+            column = [(x - 1 + step * a) % n + 1 for x in column for a in range(n)]
+        columns.append(column)
+    return BlockFamily(params, tuple(sorted(zip(*columns))))
 
 
 def _cube_value(cube: LatinCube, coords) -> int:

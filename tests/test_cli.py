@@ -260,6 +260,19 @@ def test_cubes_bad_positions_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cubes_empty_positions_exit_2(tmp_path, capsys):
+    # a given --positions is never ignored, not even when empty
+    blocks = tmp_path / "d.blocks"
+    main(["construct", "--k", "4", "--n", "5", "--l", "2", "-o", str(blocks)])
+    out = tmp_path / "d.cubes"
+    code = main(
+        ["cubes", str(blocks), "--action", "extract", "--positions", "", "-o", str(out)]
+    )
+    assert code == 2
+    assert "bad positions '': expected comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cubes_extract_rejects_non_exact_input(tmp_path, capsys):
     lifted = tmp_path / "lifted.blocks"
     main(["cubes", FIXTURE, "--action", "lift", "-o", str(lifted)])

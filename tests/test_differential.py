@@ -17,6 +17,10 @@ Latin-then-orthogonal decision on squares of order 1..4 mixing MOLS,
 non-Latin and non-orthogonal members.
 `product_decomposition` is compared with its earlier block-by-block product
 on any two families of orders p != q and on `construct`'s two-prime folds.
+`fuse` is compared with its earlier set-then-sort fold on unsorted families
+with repeated blocks at every target order, and on exact families fused down
+from a lifted order.  `vandermonde_blocks` is compared, order included, with
+its earlier coefficient enumeration and sort at every prime order up to 31.
 The minimum-cover search is compared with the earlier set-based search on
 every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
 subset search where n^k <= 16.
@@ -38,11 +42,13 @@ from helpers import (
     first_projection_offense,
     format_blocks_reference,
     format_cubes_reference,
+    fuse_reference,
     lifted_family,
     mols_to_blocks_reference,
     parse_blocks_reference,
     parse_cubes_reference,
     product_decomposition_reference,
+    vandermonde_blocks_reference,
 )
 
 from partite import (
@@ -55,6 +61,7 @@ from partite import (
     construct,
     exact_cover_size,
     extract_cubes,
+    fuse,
     is_covering,
     is_l_extendable,
     is_latin,
@@ -65,6 +72,7 @@ from partite import (
     vandermonde_blocks,
 )
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
+from partite.construct import is_prime
 from test_cover import brute_force_minimum_cover
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)
@@ -372,6 +380,47 @@ def test_two_prime_products_match_block_by_block_product(k, n, p, q):
     assert construct(k, n, 2) == product_decomposition_reference(left, right)
     assert product_decomposition(right, left) == product_decomposition_reference(right, left)
     assert product_decomposition(right, left) != construct(k, n, 2)
+
+
+@st.composite
+def fusable_families(draw):
+    """Any family of order 1..6, unsorted and with repeated blocks."""
+    ell = draw(st.integers(1, 3))
+    k = draw(st.integers(ell, 4))
+    n = draw(st.integers(1, 6))
+    blocks = draw(st.lists(st.tuples(*[st.integers(1, n)] * k), max_size=12))
+    if blocks:
+        blocks += draw(st.lists(st.sampled_from(blocks), max_size=6))
+    return BlockFamily(Params(k, n, ell), tuple(draw(st.permutations(blocks))))
+
+
+@settings(EXAMPLES, max_examples=300)
+@given(fusable_families())
+def test_fuse_matches_set_then_sort_fold(family):
+    for n_target in range(1, family.params.n + 1):
+        assert fuse(family, n_target) == fuse_reference(family, n_target)
+
+
+# exact families at an admissible order, folded onto the order below and further
+@pytest.mark.parametrize(
+    "k, n, ell, n_target", [(5, 7, 3, 6), (4, 5, 2, 2), (3, 5, 2, 4), (4, 25, 2, 24)]
+)
+def test_fuse_of_exact_family_matches_set_then_sort_fold(k, n, ell, n_target):
+    fused = fuse(construct(k, n, ell), n_target)
+    assert fused == fuse_reference(construct(k, n, ell), n_target)
+    assert fused.is_canonical
+
+
+# every 2 <= ell <= k <= p with k * p^ell <= 2^16, p = k (colour k is 0 mod p)
+# and ell = k among them
+@pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
+def test_vandermonde_blocks_match_sorted_coefficient_enumeration(p):
+    for ell in range(2, p + 1):
+        for k in range(ell, p + 1):
+            if k * p**ell <= 2**16:
+                family = vandermonde_blocks(k, p, ell)
+                assert family == vandermonde_blocks_reference(k, p, ell)
+                assert family.is_canonical
 
 
 @st.composite
