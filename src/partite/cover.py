@@ -9,7 +9,9 @@ gives the exact minimum covering size: the covering-array number.  It keeps
 coverage as int bitmasks over (index set, tuple) pairs, fixes the first block
 to (1, ..., 1) because symbols can be relabelled within each colour class,
 and never revisits a cover through a later sibling.  Neither cut loses a
-minimum, so a settled search is exact.
+minimum, so a settled search is exact.  Each child is counted, checked for a
+cover and pruned inside its parent's sibling loop; only a child that survives
+the prune costs a call.
 """
 
 from __future__ import annotations
@@ -100,6 +102,13 @@ def exact_cover_size(
     most one pair per index set, so any completion needs at least the largest
     uncovered count of one index set (at the root, the n^ell lower bound).
 
+    The parent decides that prune for each child in its sibling loop.  It
+    counts the uncovered pairs of each index set once; a child's largest
+    count is then the parent's largest, less one exactly when the child's
+    block closes a pair in every index set at that largest count.  A child is
+    counted as a node, checked against the budget and recorded as a cover in
+    the loop, in visit order; only a child that survives recurses.
+
     Two cuts keep the search complete.  Relabelling the symbols of each
     colour class on its own maps covers to covers of the same size and can
     send any one block to (1, ..., 1), so the root branches on that block
@@ -142,25 +151,18 @@ def exact_cover_size(
 
     best = len(build_covering(k, n, ell).blocks)  # achievable upper bound
     excluded = bytearray(len(coverage))  # blocks an earlier sibling has settled
-    nodes = 0
+    nodes = 1  # the root
     exhausted = False
 
     def search(size: int, uncovered: int) -> None:
+        """Branch at a node that is counted and survived its prune; decide each child's here."""
         nonlocal best, nodes, exhausted
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        if not uncovered:
-            best = size
-            return
-        # prune when one index set alone has best - size uncovered pairs left;
-        # no set has more than n^ell, and with one block to go any pair will do
-        need = best - size
-        if need == 1 or (
-            need <= cell and any((uncovered & m).bit_count() >= need for m in set_masks)
-        ):
-            return
+        # a child closes at most one pair per index set, so its largest count is
+        # top, or top - 1 once it closes a pair in every set at top
+        counts = [(uncovered & m).bit_count() for m in set_masks]
+        top = max(counts)
+        tops = sum(m for m, c in zip(set_masks, counts) if c == top)  # disjoint masks
+        at_top = counts.count(top)
         target = (uncovered & -uncovered).bit_length() - 1
         # some minimum cover holds block 0, and block 0 covers pair 0
         candidates = by_pair[target] if size else (0,)
@@ -170,12 +172,23 @@ def exact_cover_size(
             if not excluded[b]
         )
         for _, b, closed in closing:
-            search(size + 1, uncovered ^ closed)
-            if exhausted:
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
                 return
+            rest = uncovered ^ closed
+            if not rest:
+                best = size + 1
+            # prune when one index set alone has best - size - 1 pairs left
+            elif best - size - top > ((closed & tops).bit_count() < at_top):
+                search(size + 1, rest)
+                if exhausted:
+                    return
             excluded[b] = 1
         for _, b, _ in closing:
             excluded[b] = 0
 
-    search(0, (1 << (n_sets * cell)) - 1)
+    # the root needs n^ell blocks, so a covering that small is already minimal
+    if best > cell:
+        search(0, (1 << (n_sets * cell)) - 1)
     return None if exhausted else best

@@ -4,8 +4,9 @@ These deliberately re-count projections cell by cell with nested loops, so
 they stay independent of the library's bucket-counting passes.
 `BlockFamily` validation is checked against its earlier per-block loop.  The
 text format oracles convert and join one token at a time.  The minimum-cover
-oracles are the earlier set-based search and the closed form for n = 2,
-ell = 2.  The lift and extraction are rebuilt one domain point at a time.
+oracles are the earlier set-based search, the earlier recursive bitmask
+search, and the closed form for n = 2, ell = 2.  The lift and extraction are
+rebuilt one domain point at a time.
 `LatinCube` symbol validation is checked against its earlier per-symbol loop,
 and `mols_to_blocks` against its earlier Latin-then-orthogonal decision.
 `exact_by_distance` decides exactness without counting any projection.
@@ -378,4 +379,88 @@ def exact_cover_size_reference(
                 return
 
     search(0)
+    return None if exhausted else best
+
+
+def exact_cover_size_recursive(
+    k: int, n: int, ell: int, budget: int = DEFAULT_BUDGET
+) -> int | None:
+    """Minimum number of blocks covering every projection, or None on budget exhaustion.
+
+    The bitmask search partite shipped before it decided each child's prune
+    in its parent's sibling loop, kept verbatim apart from this docstring as
+    a differential reference: one recursive call per child, each counted as
+    a node and pruned on entry.  Both searches visit the same tree, so every
+    budget gives both the same outcome.
+    """
+    params = Params(k, n, ell)
+    if budget < 1:
+        raise ValueError(f"budget >= 1 required (budget={budget})")
+    # the block (1, ..., 1) covers G(k, 1), whose C(k, ell) pairs can exceed any table
+    if n == 1:
+        return 1
+    if capped_power(n, k, limit=SEARCH_VOLUME_GUARD) > SEARCH_VOLUME_GUARD:
+        raise ValueError(
+            f"search volume n^k = {n}^{k} exceeds guard {SEARCH_VOLUME_GUARD}"
+        )
+    # the C(k, ell) * n^ell pairs to cover, bounded without forming C(k, ell)
+    check_size(f"(k*n)^l = ({k}*{n})^{ell}", k * n, ell)
+
+    index_sets = enumerate_index_sets(params)
+    n_sets = len(index_sets)
+    cell = n**ell
+    set_masks = [((1 << cell) - 1) << (s * cell) for s in range(n_sets)]
+
+    # Candidate blocks in lexicographic order, so block 0 is (1, ..., 1).
+    coverage: list[int] = []
+    by_pair: list[list[int]] = [[] for _ in range(n_sets * cell)]
+    for b, block in enumerate(product(range(1, n + 1), repeat=k)):
+        bits = bytearray((len(by_pair) + 7) // 8)
+        for s, index_set in enumerate(index_sets):
+            flat = 0
+            for pos in index_set:
+                flat = flat * n + (block[pos - 1] - 1)
+            pair = s * cell + flat
+            bits[pair >> 3] |= 1 << (pair & 7)
+            by_pair[pair].append(b)
+        coverage.append(int.from_bytes(bits, "little"))
+
+    best = len(build_covering(k, n, ell).blocks)  # achievable upper bound
+    excluded = bytearray(len(coverage))  # blocks an earlier sibling has settled
+    nodes = 0
+    exhausted = False
+
+    def search(size: int, uncovered: int) -> None:
+        nonlocal best, nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if not uncovered:
+            best = size
+            return
+        # prune when one index set alone has best - size uncovered pairs left;
+        # no set has more than n^ell, and with one block to go any pair will do
+        need = best - size
+        if need == 1 or (
+            need <= cell and any((uncovered & m).bit_count() >= need for m in set_masks)
+        ):
+            return
+        target = (uncovered & -uncovered).bit_length() - 1
+        # some minimum cover holds block 0, and block 0 covers pair 0
+        candidates = by_pair[target] if size else (0,)
+        closing = sorted(
+            (-(closed := coverage[b] & uncovered).bit_count(), b, closed)
+            for b in candidates
+            if not excluded[b]
+        )
+        for _, b, closed in closing:
+            search(size + 1, uncovered ^ closed)
+            if exhausted:
+                return
+            excluded[b] = 1
+        for _, b, _ in closing:
+            excluded[b] = 0
+
+    search(0, (1 << (n_sets * cell)) - 1)
     return None if exhausted else best

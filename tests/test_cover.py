@@ -184,6 +184,8 @@ def test_exact_cover_size_respects_guard():
 
 def test_exact_cover_size_budget_exhaustion_is_unknown():
     assert exact_cover_size(4, 2, 2, budget=1) is None
+    # minsearch --k 5 --n 3 --l 2 --budget 200000 prints unknown (budget)
+    assert exact_cover_size(5, 3, 2, budget=200_000) is None
 
 
 def test_exact_cover_size_rejects_budget_below_one():
@@ -207,3 +209,24 @@ def test_exact_cover_size_matches_binary_closed_form(k):
 )
 def test_exact_cover_size_pinned_minimums(k, n, ell, minimum):
     assert exact_cover_size(k, n, ell) == minimum
+
+
+# The search tree, pinned by the node count N at which each instance settles:
+# at budget N - 1 the search runs out, at budget N it returns the minimum.  A
+# change to the visit order, the prunes or the node accounting moves N.
+@pytest.mark.parametrize(
+    "k,n,ell,nodes,minimum",
+    [
+        (4, 2, 2, 25, 5),
+        (5, 2, 2, 823, 6),
+        (6, 2, 2, 4_655, 6),
+        (7, 2, 2, 24_841, 6),
+        (4, 3, 2, 74, 9),
+        (5, 2, 3, 1_056, 10),
+        (4, 3, 3, 692, 27),
+        (5, 4, 2, 962, 16),
+    ],
+)
+def test_exact_cover_size_settles_at_pinned_node_count(k, n, ell, nodes, minimum):
+    assert exact_cover_size(k, n, ell, budget=nodes - 1) is None
+    assert exact_cover_size(k, n, ell, budget=nodes) == minimum

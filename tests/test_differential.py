@@ -23,7 +23,9 @@ from a lifted order.  `vandermonde_blocks` is compared, order included, with
 its earlier coefficient enumeration and sort at every prime order up to 31.
 The minimum-cover search is compared with the earlier set-based search on
 every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
-subset search where n^k <= 16.
+subset search where n^k <= 16.  It is compared with its earlier recursive
+body, which pruned each child on entry, at random budgets on the same
+instances: both must run out or settle alike, so they visit the same tree.
 """
 
 from itertools import combinations
@@ -35,6 +37,7 @@ from hypothesis import strategies as st
 from helpers import (
     check_blocks_reference,
     check_cube_symbols_reference,
+    exact_cover_size_recursive,
     exact_cover_size_reference,
     extracted_cubes,
     first_latin_offense,
@@ -444,3 +447,11 @@ def test_exact_cover_size_matches_set_based_search(instance):
     assert _outcome(exact_cover_size, *instance) == reference
     if n**k <= 16 and isinstance(reference, int):
         assert brute_force_minimum_cover(k, n, ell, reference) == reference
+
+
+@settings(EXAMPLES, max_examples=100)
+@given(search_instances(), st.integers(1, 5_000))
+def test_exact_cover_size_matches_recursive_search_at_any_budget(instance, budget):
+    # same outcome at every budget: the settle node count, and so the tree, agree
+    expected = _outcome(exact_cover_size_recursive, *instance, budget=budget)
+    assert _outcome(exact_cover_size, *instance, budget=budget) == expected
