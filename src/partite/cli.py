@@ -51,8 +51,7 @@ def _orthogonal_line(cube_set: CubeSet) -> str | None:
 
 def _extract(text: str, positions: str | None) -> str:
     family = parse_blocks(text)
-    k, ell = family.params.k, family.params.ell
-    chosen = tuple(range(k - ell + 1, k + 1))
+    chosen = None  # extraction's default: the last ell positions
     if positions is not None:
         try:
             chosen = tuple(int(tok) for tok in positions.split(","))

@@ -70,9 +70,8 @@ def lifting_order(k: int, n: int, ell: int) -> int:
     Params(k, n, ell)
     # n' >= n, so this bounds k and n before factoring n or sieving below k
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
-    if ell == 1 or smallest_blocking_prime(n, k) is None:
-        return n
-    return next_admissible_order(n, k)
+    # an admissible n >= 2 is at least k, so the scan returns it unchanged
+    return n if ell == 1 or n == 1 else next_admissible_order(n, k)
 
 
 def build_covering(k: int, n: int, ell: int) -> BlockFamily:

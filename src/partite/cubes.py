@@ -1,8 +1,8 @@
 """Conversions between block families, Latin cube systems, and MOLS.
 
 Both follow `core.lift_columns`, the lift's one layout: lifting zips its
-columns into blocks, and extraction reads the free columns back off the blocks
-in row-major order.  The two are inverse at the canonical (last ell) positions.
+columns into blocks, and extraction reads the free columns back in row-major
+order.  The two are inverse at the last ell positions, extraction's default.
 """
 
 from __future__ import annotations
@@ -38,20 +38,20 @@ def _require_exact(problem: str, witness: Witness | None) -> None:
         )
 
 
-def extract_cubes(family: BlockFamily, positions: IndexSet) -> CubeSet:
+def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> CubeSet:
     """One cube per free colour class, read off the unique matching blocks.
 
     Cube j maps (x_1..x_ell) to t(j) where t is the unique block whose symbols
     at `positions` are (x_1..x_ell); the cubes come back in ascending j.  The
     family must be an exact decomposition and `positions` an ell-subset of
-    {1..k} in increasing order.
+    {1..k} in increasing order, by default (None) the last ell positions.
 
     Every returned cube is Latin for any choice of positions; the returned
-    system is guaranteed mutually invertible only for the canonical last-ell
-    positions (lift_cubes inverts exactly that choice).
+    system is guaranteed mutually invertible only for the default, the lift's
+    inverse: lift_cubes puts the grid at the last ell positions.
     """
     k, n, ell = family.params.k, family.params.n, family.params.ell
-    positions = tuple(positions)
+    positions = tuple(range(k - ell + 1, k + 1) if positions is None else positions)
     if len(positions) != ell or any(
         not 1 <= s <= k for s in positions
     ) or any(a >= b for a, b in zip(positions, positions[1:])):
@@ -103,8 +103,7 @@ def blocks_to_mols(family: BlockFamily) -> CubeSet:
     """The k-2 squares of an exact 2-decomposition, extracted at the last two positions."""
     if family.params.ell != 2:
         raise ValueError(f"a 2-decomposition is required (ell={family.params.ell})")
-    k = family.params.k
-    return extract_cubes(family, (k - 1, k))
+    return extract_cubes(family)
 
 
 def orthogonal_not_invertible_cubes() -> CubeSet:

@@ -63,6 +63,7 @@ def parse_cubes(text: str) -> CubeSet:
     d, n, m = (int(tok) for tok in tokens[1:4])
     if min(d, n, m) < 0:
         raise ValueError(f"bad cube header: negative value in {' '.join(tokens[:4])!r}")
+    CubeSet(d, n, ())  # the header's geometry, before its value count
     expected = check_size(f"m*n^d = {m}*{n}^{d}", n, d, factor=m)
     values = list(map(_Tokens().__getitem__, tokens[4:]))
     if len(values) != expected:

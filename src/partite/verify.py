@@ -21,7 +21,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, dropwhile, islice, repeat
+from itertools import combinations, islice, repeat
 from operator import itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
@@ -91,9 +91,8 @@ def is_covering(family: BlockFamily) -> VerifyReport:
     first = _first_offense(*_block_projections(family), {1})
     if first is None or first.multiplicity == 0:  # Exact, or the first MISS
         return _report(first)
-    # the first DUP: no MISS comes before its index set, so look from there on
-    column, subsets, n = _block_projections(family)
-    miss = _first_offense(column, dropwhile(first.index_set.__ne__, subsets), n, {1, 2})
+    # the first DUP; by pigeonhole no index set before its own has a MISS
+    miss = _first_offense(*_block_projections(family), {1, 2})
     return _report(miss) if miss is not None else _report(first, Verdict.COVER_ONLY)
 
 

@@ -276,6 +276,7 @@ def parse_cubes_reference(text: str) -> CubeSet:
     if len(tokens) < 4 or tokens[0] != "cubes":
         raise ValueError("bad cube header")
     d, n, m = (int(tok) for tok in tokens[1:4])
+    CubeSet(d, n, ())  # a zero dimension is named before the value count
     values = [int(tok) for tok in tokens[4:]]
     if len(values) != m * n**d:
         raise ValueError(f"cube file has {len(values)} values, expected m*n^d = {m * n**d}")

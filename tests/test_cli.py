@@ -463,3 +463,17 @@ def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
 def test_parse_cubes_rejects_negative_header():
     with pytest.raises(ValueError, match="bad cube header: negative value in 'cubes -1 0 1'"):
         parse_cubes("cubes -1 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("cubes 0 3 1\n", "error: cube dimensions must be positive (d=0, n=3)\n"),
+        ("cubes 2 0 1\n1\n", "error: cube dimensions must be positive (d=2, n=0)\n"),
+    ],
+)
+def test_cube_header_with_a_zero_dimension_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "zero.cubes"
+    path.write_text(text)
+    assert main(["cubes", str(path), "--check", "latin"]) == 2
+    assert capsys.readouterr() == ("", message)

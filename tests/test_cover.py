@@ -5,6 +5,7 @@ import pytest
 from helpers import covers_every_pair, min_cover_binary_pairs
 
 from partite import (
+    Params,
     Verdict,
     build_covering,
     construct,
@@ -15,6 +16,8 @@ from partite import (
     lifting_order,
     next_admissible_order,
 )
+from partite.construct import smallest_blocking_prime
+from partite.core import check_size
 
 
 def has_small_prime_factor(value, k):
@@ -69,6 +72,8 @@ def test_fuse_order7_down_to_four_covers():
 def test_fuse_rejects_larger_target():
     with pytest.raises(ValueError, match="cannot fuse"):
         fuse(construct(4, 5, 2), 6)
+    with pytest.raises(ValueError, match=r"n_target >= 1 required \(n_target=0\)"):
+        fuse(construct(4, 5, 2), 0)
 
 
 def test_lifting_order_detects_direct_cases():
@@ -79,6 +84,29 @@ def test_lifting_order_detects_direct_cases():
     # no prime divides 1, so order 1 is built directly
     assert lifting_order(3, 1, 2) == 1
     assert lifting_order(8, 1, 5) == 1
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def lifting_order_by_blocking_prime(k, n, ell):
+    """lifting_order as it tested admissibility before handing n to the scan."""
+    Params(k, n, ell)
+    check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
+    return n if ell == 1 or smallest_blocking_prime(n, k) is None else next_admissible_order(n, k)
+
+
+def test_lifting_order_matches_the_blocking_prime_rule():
+    # 9,154 triples, the size guard's refusals among them
+    for ell in range(1, 5):
+        for k in range(ell, 14):
+            for n in range(1, 200):
+                expected = _outcome(lifting_order_by_blocking_prime, k, n, ell)
+                assert _outcome(lifting_order, k, n, ell) == expected, (k, n, ell)
 
 
 def test_build_covering_uses_direct_construction_when_admissible():

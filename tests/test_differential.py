@@ -4,6 +4,8 @@ Families and cube systems are small and drawn by Hypothesis with a fixed
 derandomized seed, so the suite stays deterministic.  Damaged inputs start
 from exact constructions and get one change each: a changed symbol, a
 dropped or duplicated block, a swapped cube entry, or no blocks at all.
+Covering is also checked on exact families with one symbol changed past
+position ell, whose first offense lies past the first index set.
 Damaged files get one textual change each: a token written as 07, +3, 0,
 n+1 or x, an extra or a missing token, a blank line, or CRLF line ends.
 `BlockFamily` validation is compared with its earlier per-block loop on
@@ -129,6 +131,24 @@ families = st.one_of(random_families(), damaged_families())
 
 
 @st.composite
+def late_damaged_families(draw):
+    """An exact family with one symbol changed past position ell, maybe plus that block again.
+
+    At exact size every index set before the first one holding the changed
+    position stays exact, so the first offense lies past the first index set.
+    The copy makes n^ell + 1 blocks, which offend in every index set.
+    """
+    k, n, ell = draw(st.sampled_from([t for t in EXACT if t[0] > t[2]]))
+    blocks = list(construct(k, n, ell).blocks)
+    i, pos = draw(st.integers(0, len(blocks) - 1)), draw(st.integers(ell, k - 1))
+    symbol = draw(st.sampled_from([v for v in range(1, n + 1) if v != blocks[i][pos]]))
+    blocks[i] = blocks[i][:pos] + (symbol,) + blocks[i][pos + 1 :]
+    if draw(st.booleans()):
+        blocks.append(blocks[i])
+    return BlockFamily(Params(k, n, ell), tuple(blocks))
+
+
+@st.composite
 def cube_sets(draw):
     if draw(st.booleans()):
         k, n, d = draw(st.sampled_from([t for t in EXACT if t[2] >= 2]))
@@ -172,8 +192,8 @@ def test_exactness_matches_oracle(family):
     assert report.verdict is (Verdict.EXACT if expected is None else Verdict.FAIL)
 
 
-@EXAMPLES
-@given(families)
+@settings(EXAMPLES, max_examples=120)
+@given(st.one_of(families, late_damaged_families()))
 def test_covering_matches_oracle(family):
     report = is_covering(family)
     miss = first_projection_offense(family, allowed=(1, 2))
