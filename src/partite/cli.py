@@ -101,7 +101,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     family = cover.build_covering(args.k, args.n, args.l)
     lifted = cover.lifting_order(args.k, args.n, args.l)
     lower = args.n**args.l
-    if args.output:  # written first, so a failed write prints nothing on stdout
+    if args.output is not None:  # written first, so a failed write prints nothing on stdout
         Path(args.output).write_text(format_blocks(family))
     print(f"size={len(family.blocks)} lower={lower} lifted_order={lifted}")
     return 0
@@ -163,35 +163,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _misused_flag(args: argparse.Namespace) -> str | None:
-    """Why a flag of `cubes` would be ignored or is missing, or None."""
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse, with ValueError, a flag of `cubes` that would be ignored or is missing."""
     if args.command != "cubes":
-        return None
+        return
     if args.action is not None and not args.output:
-        return "--action requires -o/--output"
+        raise ValueError("--action requires -o/--output")
     if args.check is not None and args.output is not None:
-        return "-o/--output applies only to --action"
+        raise ValueError("-o/--output applies only to --action")
     if args.positions is not None and args.action != "extract":
-        return "--positions applies only to --action extract"
-    return None
+        raise ValueError("--positions applies only to --action extract")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _misused_flag(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

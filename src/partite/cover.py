@@ -138,15 +138,15 @@ def exact_cover_size(
     coverage: list[int] = []
     by_pair: list[list[int]] = [[] for _ in range(n_sets * cell)]
     for b, block in enumerate(product(range(1, n + 1), repeat=k)):
-        bits = bytearray((len(by_pair) + 7) // 8)
+        mask = 0
         for s, index_set in enumerate(index_sets):
             flat = 0
             for pos in index_set:
                 flat = flat * n + (block[pos - 1] - 1)
             pair = s * cell + flat
-            bits[pair >> 3] |= 1 << (pair & 7)
+            mask |= 1 << pair
             by_pair[pair].append(b)
-        coverage.append(int.from_bytes(bits, "little"))
+        coverage.append(mask)
 
     best = len(build_covering(k, n, ell).blocks)  # achievable upper bound
     excluded = bytearray(len(coverage))  # blocks an earlier sibling has settled

@@ -21,7 +21,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from operator import itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
@@ -36,17 +36,20 @@ def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None
     1-based digits, lie in [offset, offset + size) with offset + size <= 2 * n^w;
     check_size raises ValueError above core.SIZE_LIMIT first, so no field carries.
     """
+    if n == 1:  # each subset has one cell, hit by every row: the row count decides all
+        if (hits := min(len(column(1)), 2)) in allowed:
+            return None
+        first = next(iter(subsets))  # only a witness takes an index set
+        return Witness(first, (1,) * len(first), hits)
     itemsize, allowed_bytes, repeats_allowed = array("I").itemsize, bytes(allowed), 2 in allowed
     packed = cache(lambda c: (len(f := array("I", column(c))), int.from_bytes(f, sys.byteorder)))
-    if n == 1:  # each subset has one cell, hit by every row: the first decides for all
-        subsets = islice(subsets, 1)
     for subset in subsets:
         width = len(subset)
         size = check_size(f"n^{width} = {n}^{width}", n, width)
         rows, acc = packed(subset[0])  # (rows, column as one int of row fields)
         acc = reduce(lambda acc, c: acc * n + packed(c)[1], subset[1:], acc)
         keys = memoryview(acc.to_bytes(rows * itemsize, sys.byteorder)).cast("I")
-        offset = (size - 1) // (n - 1) if n > 1 else width
+        offset = (size - 1) // (n - 1)
         marks = bytearray(offset + size)
         deque(map(setitem, repeat(marks), keys, repeat(1)), 0)
         # every cell hit by exactly size rows means hit once each (pigeonhole)
@@ -65,6 +68,7 @@ def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None
 def _block_projections(family: BlockFamily):
     """Kernel arguments for a family: its block positions and every ell-subset, lazily."""
     blocks, p = family.blocks, family.params
+    check_size(f"n^{p.ell} = {p.n}^{p.ell}", p.n, p.ell)  # before combinations holds k positions
     return lambda c: list(map(itemgetter(c - 1), blocks)), combinations(range(1, p.k + 1), p.ell), p.n
 
 
@@ -108,11 +112,13 @@ class LatinCheck:
 def is_latin(cube: LatinCube) -> LatinCheck:
     """True iff every axis-parallel line of the table is a permutation of {1..n}."""
     d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
-    lines = [tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1)]
+    lines = (tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1))
     witness = _first_offense(lift_columns([cube.table], d, cube.n), lines, cube.n, {1})
     if witness is None:
         return LatinCheck(True)
-    return LatinCheck(False, lines.index(witness.index_set) + 1, witness.values[:-1])
+    # line a skips grid column a + 1, so position a is the first not holding a + 1
+    axis = next(a for a, c in enumerate(witness.index_set, start=1) if c != a + 1)
+    return LatinCheck(False, axis, witness.values[:-1])
 
 
 @dataclass(frozen=True)
@@ -146,5 +152,6 @@ def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     """Exact iff the lifted family (cube values, then coordinates) is extendable."""
     d, n = cube_set.d, cube_set.n
     tables = [cube.table for cube in cube_set.cubes]
+    check_size(f"n^{d} = {n}^{d}", n, d)  # before combinations holds m + d columns
     subsets = combinations(range(1, len(tables) + d + 1), d)
     return _report(_first_offense(lift_columns(tables, d, n), subsets, n, {1}))

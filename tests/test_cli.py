@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from test_differential import damaged_text
 
+import partite
 from partite import (
     BlockFamily,
     CubeSet,
@@ -301,6 +306,32 @@ def test_cover_command_unwritable_output_prints_nothing(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_cover_command_empty_output_name_exits_2(tmp_path, monkeypatch, capsys):
+    # a given flag is never ignored: "" names the working directory, so the write fails
+    monkeypatch.chdir(tmp_path)
+    assert main(["cover", "--k", "4", "--n", "2", "--l", "2", "-o", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # `python -m partite.cli` exits through the same main the console script calls
+    ok = tmp_path / "d.blocks"
+    assert main(["construct", "--k", "4", "--n", "5", "--l", "2", "-o", str(ok)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(partite.__file__).parents[1]))
+    runs = [
+        (["verify", str(ok), "--mode", "exact"], 0, "OK\n", ""),
+        (["cubes", FIXTURE, "--check", "invertible"], 1, "DUP 1,2,6 : 1,1,1\n", ""),
+        (["cubes", FIXTURE, "--action", "extract"], 2, "", "error: --action requires -o/--output\n"),
+    ]
+    for argv, code, out, err in runs:
+        done = subprocess.run([sys.executable, "-m", "partite.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def test_minsearch_command_prints_minimum(capsys):
     assert main(["minsearch", "--k", "4", "--n", "2", "--l", "2"]) == 0
     assert capsys.readouterr().out.strip() == "5"
@@ -449,6 +480,9 @@ def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):
          ["verify", "--mode", "cover"], 0, "OK\n"),
         ("cubes 40 1 40\n" + "1\n" * 40, ["cubes", "--check", "invertible"], 0, "OK\n"),
         ("cubes 20 1 40\n" + "1\n" * 40, ["cubes", "--check", "orthogonal"], 0, "OK\n"),
+        # order 1: the row count decides, so no d-long line or index set is formed
+        ("cubes 4000 1 1\n1\n", ["cubes", "--check", "latin"], 0, "OK\n"),
+        ("cubes 200000 1 1\n1\n", ["cubes", "--check", "invertible"], 0, "OK\n"),
     ],
 )
 def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
@@ -458,6 +492,30 @@ def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
     assert main([argv[0], str(path)] + argv[1:]) == code
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "text, argv, power",
+    [
+        ("blocks 6000000 2 3000000 0\n", ["verify", "--mode", "exact"], "n^3000000 = 2^3000000"),
+        ("cubes 6000000 2 0\n", ["cubes", "--check", "invertible"], "n^6000000 = 2^6000000"),
+    ],
+)
+def test_header_only_requests_refuse_before_allocating(tmp_path, capsys, text, argv, power):
+    # n^w is checked before combinations() holds the k (or m + d) columns
+    path = tmp_path / "in"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main([argv[0], str(path)] + argv[1:]) == 2
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 50 * 2**20
+    assert capsys.readouterr() == ("", f"error: {power} exceeds the size limit 1048576\n")
 
 
 def test_parse_cubes_rejects_negative_header():
