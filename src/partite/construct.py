@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, product
+from itertools import chain
 from math import prod
 
 from .core import BlockFamily, Params, check_size
@@ -67,6 +67,10 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
     1..ell.  Any ell vertices in distinct colour classes pin the polynomial,
     so the family is exact.  As L_i(c) = [i = c] for c <= ell, colours 1..ell
     run through the grid in lexicographic order: the rows come out sorted.
+
+    Each column is built one Lagrange step at a time.  A step replaces every
+    symbol x by its n successors (x - 1 + L_i(c) * a mod n) + 1, a row built
+    once for each symbol the column holds, so the first step builds one row.
     """
     params = Params(k, n, ell)
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
@@ -83,7 +87,8 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
         column = [1]
         for i in range(1, ell + 1):
             step = prod((c - j) * pow(i - j, -1, n) for j in range(1, ell + 1) if j != i) % n
-            column = [(x - 1 + step * a) % n + 1 for x in column for a in range(n)]
+            successors = {x: [(x - 1 + step * a) % n + 1 for a in range(n)] for x in set(column)}
+            column = list(chain.from_iterable(map(successors.__getitem__, column)))
         columns.append(column)
     return BlockFamily(params, tuple(zip(*columns)))
 
@@ -95,6 +100,10 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
     colour i is (w_i - 1)*p + v_i, splitting each symbol of the product order
     into a (left, right) residue pair.  Exactness of both inputs is assumed,
     not re-verified.
+
+    Row (i, j) pairs left block i with right block j, so each product column
+    chains, for each left symbol v in turn, the right column shifted by v,
+    built once per distinct v.  One sort orders the zipped blocks.
     """
     if left.params.k != right.params.k:
         raise ValueError(f"k mismatch: {left.params.k} vs {right.params.k}")
@@ -102,12 +111,11 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
         raise ValueError(f"ell mismatch: {left.params.ell} vs {right.params.ell}")
     p = left.params.n
     params = Params(left.params.k, p * right.params.n, left.params.ell)
-    # row (i, j) of every column pairs left block i with right block j; the
-    # columns are generators, so only the zipped blocks are ever held whole
-    columns = [
-        (v + (w - 1) * p for v, w in product(left_column, right_column))
-        for left_column, right_column in zip(zip(*left.blocks), zip(*right.blocks))
-    ]
+    # the columns are iterators, so only the zipped blocks are ever held whole
+    columns = []
+    for left_column, right_column in zip(zip(*left.blocks), zip(*right.blocks)):
+        shifted = {v: [v + (w - 1) * p for w in right_column] for v in set(left_column)}
+        columns.append(chain.from_iterable(map(shifted.__getitem__, left_column)))
     return BlockFamily(params, tuple(sorted(zip(*columns))))
 
 

@@ -49,10 +49,12 @@ def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
     and fixes symbols already in range, so every projection tuple over the
     target order stays covered by the image of its exact preimage block.
 
-    Columns map through a lookup table.  The map fixes 1..n_target, so a sorted
-    family's rows move only among rows sharing their prefix before the first
-    symbol above n_target, and the sort is close to linear there (any family
-    is accepted).  Sorted duplicates are neighbours; only the first is kept.
+    The map fixes 1..n_target, so a row whose largest symbol is in range is
+    kept as it is, and only the other rows map through a lookup table.  A
+    sorted family's rows then move only among rows sharing their prefix
+    before the first symbol above n_target, and the sort is close to linear
+    there (any family is accepted).  Sorted duplicates are neighbours; only
+    the first is kept.
     """
     p = family.params
     if n_target < 1:
@@ -60,7 +62,8 @@ def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
     if n_target > p.n:
         raise ValueError(f"cannot fuse order {p.n} up to {n_target}")
     table = [0, *((v - 1) % n_target + 1 for v in range(1, p.n + 1))]
-    rows = sorted(zip(*(map(table.__getitem__, column) for column in zip(*family.blocks))))
+    rows = sorted(row if max(row) <= n_target else tuple(map(table.__getitem__, row))
+                  for row in family.blocks)
     unique = compress(rows, map(ne, rows, [None, *rows]))
     return BlockFamily(Params(p.k, n_target, p.ell), tuple(unique))
 

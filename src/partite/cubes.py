@@ -76,6 +76,7 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     d, n = cube_set.d, cube_set.n
     check_size(f"n^d = {n}^{d}", n, d)
     m = len(cube_set.cubes)
+    check_size(f"(m+d)*n^d = {m + d}*{n}^{d}", n, d, factor=m + d)  # the symbols it writes
     column = lift_columns([cube.table for cube in cube_set.cubes], d, n)
     return BlockFamily(Params(m + d, n, d), tuple(sorted(zip(*map(column, range(1, m + d + 1))))))
 

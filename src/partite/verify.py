@@ -21,7 +21,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
@@ -153,5 +153,6 @@ def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     d, n = cube_set.d, cube_set.n
     tables = [cube.table for cube in cube_set.cubes]
     check_size(f"n^{d} = {n}^{d}", n, d)  # before combinations holds m + d columns
-    subsets = combinations(range(1, len(tables) + d + 1), d)
+    # formed on first use: at n = 1 the row count decides, and only a witness takes a set
+    subsets = chain.from_iterable(map(combinations, [range(1, len(tables) + d + 1)], [d]))
     return _report(_first_offense(lift_columns(tables, d, n), subsets, n, {1}))

@@ -483,14 +483,24 @@ def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):
         # order 1: the row count decides, so no d-long line or index set is formed
         ("cubes 4000 1 1\n1\n", ["cubes", "--check", "latin"], 0, "OK\n"),
         ("cubes 200000 1 1\n1\n", ["cubes", "--check", "invertible"], 0, "OK\n"),
+        # the m + d index pool is formed only when a witness needs the first set
+        pytest.param("cubes 300000 1 1\n1\n", ["cubes", "--check", "invertible"], 0, "OK\n",
+                     id="order-1-invertible-index-pool"),
     ],
 )
 def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
     path = tmp_path / "in"
     path.write_text(text)
-    start = time.perf_counter()
-    assert main([argv[0], str(path)] + argv[1:]) == code
-    assert time.perf_counter() - start < 0.5
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main([argv[0], str(path)] + argv[1:]) == code
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 2 * 2**20
     assert capsys.readouterr().out == out
 
 
@@ -516,6 +526,20 @@ def test_header_only_requests_refuse_before_allocating(tmp_path, capsys, text, a
     assert elapsed < 0.5
     assert peak < 50 * 2**20
     assert capsys.readouterr() == ("", f"error: {power} exceeds the size limit 1048576\n")
+
+
+def test_order_1_lift_refuses_more_symbols_than_the_size_limit(tmp_path, capsys):
+    # at n = 1 a cube file pays nothing for d, so the lift bounds the (m + d) * n^d
+    # symbols it writes, as construct and cover bound k * n^l
+    path = tmp_path / "in"
+    path.write_text("cubes 1048577 1 0\n")
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["cubes", str(path), "--action", "lift", "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == (
+        "", "error: (m+d)*n^d = 1048577*1^1048577 exceeds the size limit 1048576\n")
+    assert not out.exists()
 
 
 def test_parse_cubes_rejects_negative_header():

@@ -18,7 +18,9 @@ symbols one outside 1..n, and `mols_to_blocks` with its earlier
 Latin-then-orthogonal decision on squares of order 1..4 mixing MOLS,
 non-Latin and non-orthogonal members.
 `product_decomposition` is compared with its earlier block-by-block product
-on any two families of orders p != q and on `construct`'s two-prime folds.
+on any two families of orders p != q and on `construct`'s two-prime folds;
+`construct`'s prime-power folds, whose left factor has order p^2 or p^3, are
+compared with the earlier product chained over the earlier Vandermonde build.
 `fuse` is compared with its earlier set-then-sort fold on unsorted families
 with repeated blocks at every target order, and on exact families fused down
 from a lifted order.  `vandermonde_blocks` is compared, order included, with
@@ -30,6 +32,7 @@ body, which pruned each child on entry, at random budgets on the same
 instances: both must run out or settle alike, so they visit the same tree.
 """
 
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -403,6 +406,16 @@ def test_two_prime_products_match_block_by_block_product(k, n, p, q):
     assert construct(k, n, 2) == product_decomposition_reference(left, right)
     assert product_decomposition(right, left) == product_decomposition_reference(right, left)
     assert product_decomposition(right, left) != construct(k, n, 2)
+
+
+# prime powers: construct folds left to right, so the left factor of the last
+# product has order p^2 (27, 125, 343) or p^3 (81)
+@pytest.mark.parametrize("k, p, e", [(3, 3, 3), (3, 3, 4), (5, 5, 3), (7, 7, 3)])
+def test_prime_power_fold_matches_chained_references(k, p, e):
+    family = construct(k, p**e, 2)
+    factors = [vandermonde_blocks_reference(k, p, 2)] * e
+    assert family == reduce(product_decomposition_reference, factors)
+    assert family.is_canonical
 
 
 @st.composite
