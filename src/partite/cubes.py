@@ -51,8 +51,9 @@ def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> Cub
     inverse: lift_cubes puts the grid at the last ell positions.
     """
     k, n, ell = family.params.k, family.params.n, family.params.ell
-    positions = tuple(range(k - ell + 1, k + 1) if positions is None else positions)
-    if len(positions) != ell or any(
+    if positions is None:  # valid by Params, and lazy: nothing grows with k before the guard
+        positions = range(k - ell + 1, k + 1)
+    elif len(positions := tuple(positions)) != ell or any(
         not 1 <= s <= k for s in positions
     ) or any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(
@@ -62,7 +63,8 @@ def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> Cub
     # exactness makes the projection at positions a bijection onto the grid,
     # so the blocks sorted by it come in row-major order, like the tables
     rows = sorted(family.blocks, key=itemgetter(*(s - 1 for s in positions)))
-    free = [j - 1 for j in range(1, k + 1) if j not in positions]
+    taken = set(positions)
+    free = [j - 1 for j in range(1, k + 1) if j not in taken]
     cubes = tuple(LatinCube(ell, n, tuple(map(itemgetter(j), rows))) for j in free)
     return CubeSet(ell, n, cubes)
 

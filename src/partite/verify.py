@@ -21,35 +21,40 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, combinations, repeat
+from itertools import combinations, islice, repeat
 from operator import itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
 from .core import check_size, lift_columns, unflatten_index
 
 
-def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None:
+def _index_sets(pool: int, width: int):
+    """Every width-subset of 1..pool in lexicographic order, the first before any pool is held."""
+    yield tuple(range(1, width + 1))
+    yield from islice(combinations(range(1, pool + 1), width), 1, None)
+
+
+def _first_offense(column, subsets, n: int, width: int, allowed: set[int]) -> Witness | None:
     """First (subset, cell, count capped at 2) whose count is not in allowed, or None.
 
-    allowed always holds 1.  column(c) runs once, and only its packing, one int
-    of array("I") fields, is kept.  Keys, the Horner fold acc * n + packed(c) of
-    1-based digits, lie in [offset, offset + size) with offset + size <= 2 * n^w;
-    check_size raises ValueError above core.SIZE_LIMIT first, so no field carries.
+    Every subset has `width` columns, and allowed always holds 1.  column(c)
+    runs once, and only its packing, one int of array("I") fields, is kept.
+    Keys, the Horner fold acc * n + packed(c) of 1-based digits, lie in
+    [offset, offset + size) with offset + size <= 2 * n^width; check_size raises
+    ValueError above core.SIZE_LIMIT before any subset is taken, so no field carries.
     """
+    size = check_size(f"n^{width} = {n}^{width}", n, width)
     if n == 1:  # each subset has one cell, hit by every row: the row count decides all
         if (hits := min(len(column(1)), 2)) in allowed:
             return None
-        first = next(iter(subsets))  # only a witness takes an index set
-        return Witness(first, (1,) * len(first), hits)
+        return Witness(next(iter(subsets)), (1,) * width, hits)  # only a witness takes a set
     itemsize, allowed_bytes, repeats_allowed = array("I").itemsize, bytes(allowed), 2 in allowed
     packed = cache(lambda c: (len(f := array("I", column(c))), int.from_bytes(f, sys.byteorder)))
+    offset = (size - 1) // (n - 1)
     for subset in subsets:
-        width = len(subset)
-        size = check_size(f"n^{width} = {n}^{width}", n, width)
         rows, acc = packed(subset[0])  # (rows, column as one int of row fields)
         acc = reduce(lambda acc, c: acc * n + packed(c)[1], subset[1:], acc)
         keys = memoryview(acc.to_bytes(rows * itemsize, sys.byteorder)).cast("I")
-        offset = (size - 1) // (n - 1)
         marks = bytearray(offset + size)
         deque(map(setitem, repeat(marks), keys, repeat(1)), 0)
         # every cell hit by exactly size rows means hit once each (pigeonhole)
@@ -68,8 +73,7 @@ def _first_offense(column, subsets, n: int, allowed: set[int]) -> Witness | None
 def _block_projections(family: BlockFamily):
     """Kernel arguments for a family: its block positions and every ell-subset, lazily."""
     blocks, p = family.blocks, family.params
-    check_size(f"n^{p.ell} = {p.n}^{p.ell}", p.n, p.ell)  # before combinations holds k positions
-    return lambda c: list(map(itemgetter(c - 1), blocks)), combinations(range(1, p.k + 1), p.ell), p.n
+    return lambda c: list(map(itemgetter(c - 1), blocks)), _index_sets(p.k, p.ell), p.n, p.ell
 
 
 def _report(witness: Witness | None, verdict: Verdict = Verdict.FAIL) -> VerifyReport:
@@ -113,7 +117,7 @@ def is_latin(cube: LatinCube) -> LatinCheck:
     """True iff every axis-parallel line of the table is a permutation of {1..n}."""
     d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
     lines = (tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1))
-    witness = _first_offense(lift_columns([cube.table], d, cube.n), lines, cube.n, {1})
+    witness = _first_offense(lift_columns([cube.table], d, cube.n), lines, cube.n, d, {1})
     if witness is None:
         return LatinCheck(True)
     # line a skips grid column a + 1, so position a is the first not holding a + 1
@@ -142,7 +146,7 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
     if m < d:
         raise ValueError(f"orthogonality needs at least d={d} cubes, got {m}")
     tables = [cube.table for cube in cube_set.cubes]
-    w = _first_offense(lift_columns(tables, d, n), combinations(range(1, m + 1), d), n, {1})
+    w = _first_offense(lift_columns(tables, d, n), _index_sets(m, d), n, d, {1})
     if w is None:
         return OrthogonalityCheck(True)
     return OrthogonalityCheck(False, w.index_set, w.values, w.multiplicity)
@@ -152,7 +156,5 @@ def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     """Exact iff the lifted family (cube values, then coordinates) is extendable."""
     d, n = cube_set.d, cube_set.n
     tables = [cube.table for cube in cube_set.cubes]
-    check_size(f"n^{d} = {n}^{d}", n, d)  # before combinations holds m + d columns
-    # formed on first use: at n = 1 the row count decides, and only a witness takes a set
-    subsets = chain.from_iterable(map(combinations, [range(1, len(tables) + d + 1)], [d]))
-    return _report(_first_offense(lift_columns(tables, d, n), subsets, n, {1}))
+    subsets = _index_sets(len(tables) + d, d)
+    return _report(_first_offense(lift_columns(tables, d, n), subsets, n, d, {1}))

@@ -179,6 +179,22 @@ def test_cubes_extract_at_explicit_positions(tmp_path):
     assert parse_cubes(out.read_text()).d == 2
 
 
+def test_cubes_extract_is_linear_in_k(tmp_path):
+    # the free columns are taken by set membership, not by scanning the positions
+    blocks = tmp_path / "d.blocks"
+    assert main(["construct", "--k", "40000", "--n", "1", "--l", "20000", "-o", str(blocks)]) == 0
+    outputs = {}
+    for name, positions in [("default", None), ("first", range(1, 20001)),
+                            ("last", range(20001, 40001))]:
+        flags = [] if positions is None else ["--positions", ",".join(map(str, positions))]
+        out = tmp_path / f"{name}.cubes"
+        start = time.perf_counter()
+        assert main(["cubes", str(blocks), "--action", "extract", *flags, "-o", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        outputs[name] = out.read_bytes()
+    assert outputs["default"] == outputs["last"]
+
+
 def test_cubes_mols_round_trip(tmp_path):
     blocks = tmp_path / "d.blocks"
     squares = tmp_path / "d.cubes"
@@ -486,6 +502,11 @@ def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):
         # the m + d index pool is formed only when a witness needs the first set
         pytest.param("cubes 300000 1 1\n1\n", ["cubes", "--check", "invertible"], 0, "OK\n",
                      id="order-1-invertible-index-pool"),
+        # a failing check takes only its first index set, never the k-position pool
+        ("blocks 1000000 2 1 0\n", ["verify", "--mode", "exact"], 1, "MISS 1 : 1\n"),
+        ("blocks 1000000 2 1 0\n", ["verify", "--mode", "cover"], 1, "MISS 1 : 1\n"),
+        ("blocks 1000000 1 1 0\n", ["verify", "--mode", "exact"], 1, "MISS 1 : 1\n"),
+        ("blocks 1000000 1 1 0\n", ["verify", "--mode", "cover"], 1, "MISS 1 : 1\n"),
     ],
 )
 def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
@@ -509,16 +530,20 @@ def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
     [
         ("blocks 6000000 2 3000000 0\n", ["verify", "--mode", "exact"], "n^3000000 = 2^3000000"),
         ("cubes 6000000 2 0\n", ["cubes", "--check", "invertible"], "n^6000000 = 2^6000000"),
+        ("blocks 6000000 2 3000000 0\n", ["cubes", "--action", "extract", "-o", "x"],
+         "n^3000000 = 2^3000000"),
     ],
 )
 def test_header_only_requests_refuse_before_allocating(tmp_path, capsys, text, argv, power):
-    # n^w is checked before combinations() holds the k (or m + d) columns
+    # the kernel checks n^w before it takes an index set, and extraction's
+    # default positions are a range, so nothing holds the k (or m + d) columns
     path = tmp_path / "in"
     path.write_text(text)
+    argv = [argv[0], str(path)] + [str(tmp_path / a) if a == "x" else a for a in argv[1:]]
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        assert main([argv[0], str(path)] + argv[1:]) == 2
+        assert main(argv) == 2
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -526,6 +551,7 @@ def test_header_only_requests_refuse_before_allocating(tmp_path, capsys, text, a
     assert elapsed < 0.5
     assert peak < 50 * 2**20
     assert capsys.readouterr() == ("", f"error: {power} exceeds the size limit 1048576\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_order_1_lift_refuses_more_symbols_than_the_size_limit(tmp_path, capsys):
