@@ -3,6 +3,9 @@
 Both follow `core.lift_columns`, the lift's one layout: lifting zips its
 columns into blocks, and extraction reads the free columns back in row-major
 order.  The two are inverse at the last ell positions, extraction's default.
+Both put rows in order by placing each at its key in the kernel's projection
+(`verify._placed`); only a lift whose first d columns are not a bijection is
+sorted.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> Cub
         )
     _require_exact("family is not an exact decomposition", verify.is_l_extendable(family).witness)
     # exactness makes the projection at positions a bijection onto the grid,
-    # so the blocks sorted by it come in row-major order, like the tables
-    rows = sorted(family.blocks, key=itemgetter(*(s - 1 for s in positions)))
+    # so the blocks placed at its keys come in row-major order, like the tables
+    column, _, _, _ = verify._block_projections(family)
+    rows = verify._placed(family.blocks, column, positions, n)
     taken = set(positions)
     free = [j - 1 for j in range(1, k + 1) if j not in taken]
     cubes = tuple(LatinCube(ell, n, tuple(map(itemgetter(j), rows))) for j in free)
@@ -80,7 +84,11 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     m = len(cube_set.cubes)
     check_size(f"(m+d)*n^d = {m + d}*{n}^{d}", n, d, factor=m + d)  # the symbols it writes
     column = lift_columns([cube.table for cube in cube_set.cubes], d, n)
-    return BlockFamily(Params(m + d, n, d), tuple(sorted(zip(*map(column, range(1, m + d + 1))))))
+    rows = list(zip(*map(column, range(1, m + d + 1))))
+    # rows with distinct first-d prefixes sort by them alone, that is in the
+    # order of their keys there; only prefixes that collide need the sort
+    placed = verify._placed(rows, column, range(1, d + 1), n)
+    return BlockFamily(Params(m + d, n, d), tuple(sorted(rows) if placed is None else placed))
 
 
 def mols_to_blocks(squares: CubeSet) -> BlockFamily:

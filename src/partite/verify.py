@@ -34,31 +34,60 @@ def _index_sets(pool: int, width: int):
     yield from islice(combinations(range(1, pool + 1), width), 1, None)
 
 
+def _projection_keys(column, n: int):
+    """keys(subset): every row's key at subset, the Horner fold acc * n + packed(c).
+
+    column(c) runs once, and only its packing, one int of array("I") fields, is
+    kept.  Digits are 1-based, so the cell (x_1..x_w) has key offset plus its
+    row-major rank, offset = (n^w - 1) // (n - 1), and keys lie in
+    [offset, offset + n^w), below 2 * n^w.  The caller's check_size on n^w keeps
+    that below 2 * core.SIZE_LIMIT < 2^32, so no field carries.
+    """
+    packed = cache(lambda c: (len(f := array("I", column(c))), int.from_bytes(f, sys.byteorder)))
+
+    def keys(subset) -> memoryview:
+        rows, acc = packed(subset[0])  # (rows, column as one int of row fields)
+        acc = reduce(lambda acc, c: acc * n + packed(c)[1], subset[1:], acc)
+        return memoryview(acc.to_bytes(rows * array("I").itemsize, sys.byteorder)).cast("I")
+
+    return keys
+
+
+def _placed(rows, column, subset, n: int) -> list | None:
+    """The n^w rows placed at their keys on the w-subset, in row-major cell order.
+
+    None if a cell stays empty, which with n^w rows means the projection is not
+    a bijection.  column(c) is column c of rows, and n^w has passed check_size.
+    """
+    if n == 1:  # one cell and one row; the subset, maybe a long range, is not read
+        return rows
+    size = n ** len(subset)
+    placed = [None] * ((size - 1) // (n - 1) + size)
+    deque(map(setitem, repeat(placed), _projection_keys(column, n)(subset), rows), 0)
+    del placed[:-size]
+    return None if None in placed else placed
+
+
 def _first_offense(column, subsets, n: int, width: int, allowed: set[int]) -> Witness | None:
     """First (subset, cell, count capped at 2) whose count is not in allowed, or None.
 
-    Every subset has `width` columns, and allowed always holds 1.  column(c)
-    runs once, and only its packing, one int of array("I") fields, is kept.
-    Keys, the Horner fold acc * n + packed(c) of 1-based digits, lie in
-    [offset, offset + size) with offset + size <= 2 * n^width; check_size raises
-    ValueError above core.SIZE_LIMIT before any subset is taken, so no field carries.
+    Every subset has `width` columns, and allowed always holds 1.  check_size
+    raises ValueError above core.SIZE_LIMIT before any subset is taken.
     """
     size = check_size(f"n^{width} = {n}^{width}", n, width)
     if n == 1:  # each subset has one cell, hit by every row: the row count decides all
         if (hits := min(len(column(1)), 2)) in allowed:
             return None
         return Witness(next(iter(subsets)), (1,) * width, hits)  # only a witness takes a set
-    itemsize, allowed_bytes, repeats_allowed = array("I").itemsize, bytes(allowed), 2 in allowed
-    packed = cache(lambda c: (len(f := array("I", column(c))), int.from_bytes(f, sys.byteorder)))
+    allowed_bytes, repeats_allowed = bytes(allowed), 2 in allowed
+    keys_at = _projection_keys(column, n)
     offset = (size - 1) // (n - 1)
     for subset in subsets:
-        rows, acc = packed(subset[0])  # (rows, column as one int of row fields)
-        acc = reduce(lambda acc, c: acc * n + packed(c)[1], subset[1:], acc)
-        keys = memoryview(acc.to_bytes(rows * itemsize, sys.byteorder)).cast("I")
+        keys = keys_at(subset)
         marks = bytearray(offset + size)
         deque(map(setitem, repeat(marks), keys, repeat(1)), 0)
         # every cell hit by exactly size rows means hit once each (pigeonhole)
-        if marks.find(0, offset) < 0 and (rows == size or repeats_allowed):
+        if marks.find(0, offset) < 0 and (len(keys) == size or repeats_allowed):
             continue
         counts = bytearray(offset + size)
         for key in keys:
