@@ -1,18 +1,19 @@
 """Shared domain types and indexing conventions.
 
-Symbols and colour classes are 1-based everywhere at the API surface:
-a block over parameters (k, n) is a k-tuple with entries in {1..n}, and a
-cube of dimension d and order n is a dense table over {1..n}^d.  Modular
-arithmetic inside the constructions works on residues {0..n-1} and shifts
-by +1 at the boundary.  `lift_columns` is the lift's one layout: the cube
-checks count it, `lift_cubes` zips it into blocks, `extract_cubes` inverts it.
+Symbols and colour classes are 1-based everywhere at the API surface: a block
+over parameters (k, n) is a k-tuple with entries in {1..n}, and a cube of
+dimension d and order n is a dense table over {1..n}^d.  Modular arithmetic
+inside the constructions works on residues {0..n-1} and shifts by +1 at the
+boundary.  `lift_columns` is the lift's one layout: the cube checks count it,
+`lift_cubes` zips it into blocks, `extract_cubes` inverts it; with no tables it
+is minsearch's candidate grid.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 Block = tuple[int, ...]
@@ -71,9 +72,15 @@ def validate_params(k: int, n: int, ell: int) -> Params:
     return Params(k, n, ell)
 
 
+def _index_sets(pool: int, width: int):
+    """Every width-subset of 1..pool in lexicographic order, the first before any pool is held."""
+    yield tuple(range(1, width + 1))
+    yield from islice(combinations(range(1, pool + 1), width), 1, None)
+
+
 def enumerate_index_sets(params: Params) -> list[IndexSet]:
     """All C(k, ell) strictly increasing position tuples, in lexicographic order."""
-    return [tuple(s) for s in combinations(range(1, params.k + 1), params.ell)]
+    return list(_index_sets(params.k, params.ell))
 
 
 def flatten_coords(coords: Iterable[int], n: int) -> int:

@@ -16,11 +16,12 @@ the prune costs a call.
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import compress
 from operator import ne
 
 from .construct import construct, smallest_blocking_prime
-from .core import BlockFamily, Params, capped_power, check_size, enumerate_index_sets
+from .core import BlockFamily, Params, capped_power, check_size, enumerate_index_sets, lift_columns
+from .verify import _projection_keys
 
 SEARCH_VOLUME_GUARD = 4096
 DEFAULT_BUDGET = 1_000_000
@@ -137,19 +138,15 @@ def exact_cover_size(
     cell = n**ell
     set_masks = [((1 << cell) - 1) << (s * cell) for s in range(n_sets)]
 
-    # Candidate blocks in lexicographic order, so block 0 is (1, ..., 1).
-    coverage: list[int] = []
+    # Candidate blocks are the grid's rows in lexicographic order: block 0 is (1, ..., 1).
+    keys, offset = _projection_keys(lift_columns([], k, n), n), (cell - 1) // (n - 1)
+    coverage = [0] * n**k
     by_pair: list[list[int]] = [[] for _ in range(n_sets * cell)]
-    for b, block in enumerate(product(range(1, n + 1), repeat=k)):
-        mask = 0
-        for s, index_set in enumerate(index_sets):
-            flat = 0
-            for pos in index_set:
-                flat = flat * n + (block[pos - 1] - 1)
-            pair = s * cell + flat
-            mask |= 1 << pair
+    for s, index_set in enumerate(index_sets):
+        for b, key in enumerate(keys(index_set)):
+            pair = s * cell + key - offset  # the key less its offset is flat(tuple)
+            coverage[b] |= 1 << pair
             by_pair[pair].append(b)
-        coverage.append(mask)
 
     best = len(build_covering(k, n, ell).blocks)  # achievable upper bound
     excluded = bytearray(len(coverage))  # blocks an earlier sibling has settled

@@ -65,8 +65,7 @@ def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> Cub
     _require_exact("family is not an exact decomposition", verify.is_l_extendable(family).witness)
     # exactness makes the projection at positions a bijection onto the grid,
     # so the blocks placed at its keys come in row-major order, like the tables
-    column, _, _, _ = verify._block_projections(family)
-    rows = verify._placed(family.blocks, column, positions, n)
+    rows = verify._placed(family.blocks, verify._block_keys(family), positions, n)
     taken = set(positions)
     free = [j - 1 for j in range(1, k + 1) if j not in taken]
     cubes = tuple(LatinCube(ell, n, tuple(map(itemgetter(j), rows))) for j in free)
@@ -87,7 +86,7 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     rows = list(zip(*map(column, range(1, m + d + 1))))
     # rows with distinct first-d prefixes sort by them alone, that is in the
     # order of their keys there; only prefixes that collide need the sort
-    placed = verify._placed(rows, column, range(1, d + 1), n)
+    placed = verify._placed(rows, verify._projection_keys(column, n), range(1, d + 1), n)
     return BlockFamily(Params(m + d, n, d), tuple(sorted(rows) if placed is None else placed))
 
 

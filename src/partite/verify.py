@@ -1,9 +1,10 @@
-"""One projection kernel behind all five checks.
+"""One projection kernel behind all five checks, and one key rule behind it.
 
 The kernel projects rows onto each subset of columns in turn and returns the
-first value tuple (cell) whose hit count, capped at 2, is not allowed.  Each
-column is packed once into one int with an unsigned field per row, so a
-subset's keys take a few whole-column int operations.  A mark pass decides
+first value tuple (cell) whose hit count, capped at 2, is not allowed.
+`_projection_keys` packs each column once into one int with an unsigned field
+per row, so a subset's keys take a few whole-column int operations; the same
+keys serve placement (`_placed`) and minsearch's pair ids.  A mark pass decides
 each subset (every cell hit, and as many rows as cells or 2 allowed); only a
 failing subset runs the capped counting loop, which locates the witness.  The
 checks differ only in their columns: the block positions (exact, cover), or
@@ -21,17 +22,11 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, islice, repeat
+from itertools import repeat
 from operator import itemgetter, setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
-from .core import check_size, lift_columns, unflatten_index
-
-
-def _index_sets(pool: int, width: int):
-    """Every width-subset of 1..pool in lexicographic order, the first before any pool is held."""
-    yield tuple(range(1, width + 1))
-    yield from islice(combinations(range(1, pool + 1), width), 1, None)
+from .core import _index_sets, check_size, lift_columns, unflatten_index
 
 
 def _projection_keys(column, n: int):
@@ -53,44 +48,44 @@ def _projection_keys(column, n: int):
     return keys
 
 
-def _placed(rows, column, subset, n: int) -> list | None:
+def _placed(rows, keys, subset, n: int) -> list | None:
     """The n^w rows placed at their keys on the w-subset, in row-major cell order.
 
     None if a cell stays empty, which with n^w rows means the projection is not
-    a bijection.  column(c) is column c of rows, and n^w has passed check_size.
+    a bijection.  keys is _projection_keys over rows, and n^w passed check_size.
     """
     if n == 1:  # one cell and one row; the subset, maybe a long range, is not read
         return rows
     size = n ** len(subset)
     placed = [None] * ((size - 1) // (n - 1) + size)
-    deque(map(setitem, repeat(placed), _projection_keys(column, n)(subset), rows), 0)
+    deque(map(setitem, repeat(placed), keys(subset), rows), 0)
     del placed[:-size]
     return None if None in placed else placed
 
 
-def _first_offense(column, subsets, n: int, width: int, allowed: set[int]) -> Witness | None:
+def _first_offense(keys, subsets, n: int, width: int, allowed: set[int]) -> Witness | None:
     """First (subset, cell, count capped at 2) whose count is not in allowed, or None.
 
+    keys is _projection_keys over the rows; callers share it to pack once.
     Every subset has `width` columns, and allowed always holds 1.  check_size
     raises ValueError above core.SIZE_LIMIT before any subset is taken.
     """
     size = check_size(f"n^{width} = {n}^{width}", n, width)
     if n == 1:  # each subset has one cell, hit by every row: the row count decides all
-        if (hits := min(len(column(1)), 2)) in allowed:
+        if (hits := min(len(keys((1,))), 2)) in allowed:
             return None
         return Witness(next(iter(subsets)), (1,) * width, hits)  # only a witness takes a set
     allowed_bytes, repeats_allowed = bytes(allowed), 2 in allowed
-    keys_at = _projection_keys(column, n)
     offset = (size - 1) // (n - 1)
     for subset in subsets:
-        keys = keys_at(subset)
+        at = keys(subset)
         marks = bytearray(offset + size)
-        deque(map(setitem, repeat(marks), keys, repeat(1)), 0)
+        deque(map(setitem, repeat(marks), at, repeat(1)), 0)
         # every cell hit by exactly size rows means hit once each (pigeonhole)
-        if marks.find(0, offset) < 0 and (len(keys) == size or repeats_allowed):
+        if marks.find(0, offset) < 0 and (len(at) == size or repeats_allowed):
             continue
         counts = bytearray(offset + size)
-        for key in keys:
+        for key in at:
             if counts[key] < 2:
                 counts[key] += 1
         rest = counts[offset:].lstrip(allowed_bytes)
@@ -99,10 +94,9 @@ def _first_offense(column, subsets, n: int, width: int, allowed: set[int]) -> Wi
     return None
 
 
-def _block_projections(family: BlockFamily):
-    """Kernel arguments for a family: its block positions and every ell-subset, lazily."""
-    blocks, p = family.blocks, family.params
-    return lambda c: list(map(itemgetter(c - 1), blocks)), _index_sets(p.k, p.ell), p.n, p.ell
+def _block_keys(family: BlockFamily):
+    """The key function over a family's block positions."""
+    return _projection_keys(lambda c: list(map(itemgetter(c - 1), family.blocks)), family.params.n)
 
 
 def _report(witness: Witness | None, verdict: Verdict = Verdict.FAIL) -> VerifyReport:
@@ -111,7 +105,8 @@ def _report(witness: Witness | None, verdict: Verdict = Verdict.FAIL) -> VerifyR
 
 def is_l_extendable(family: BlockFamily) -> VerifyReport:
     """Exact iff every value tuple at every index set is hit by exactly one block."""
-    return _report(_first_offense(*_block_projections(family), {1}))
+    p = family.params
+    return _report(_first_offense(_block_keys(family), _index_sets(p.k, p.ell), p.n, p.ell, {1}))
 
 
 def is_decomposition(family: BlockFamily) -> VerifyReport:
@@ -125,11 +120,12 @@ def is_covering(family: BlockFamily) -> VerifyReport:
     A Fail witness is the first uncovered pair; a CoverOnly report carries the
     first multiply-covered pair as an explanatory witness.
     """
-    first = _first_offense(*_block_projections(family), {1})
+    p, keys = family.params, _block_keys(family)  # both calls share each column's packing
+    first = _first_offense(keys, _index_sets(p.k, p.ell), p.n, p.ell, {1})
     if first is None or first.multiplicity == 0:  # Exact, or the first MISS
         return _report(first)
     # the first DUP; by pigeonhole no index set before its own has a MISS
-    miss = _first_offense(*_block_projections(family), {1, 2})
+    miss = _first_offense(keys, _index_sets(p.k, p.ell), p.n, p.ell, {1, 2})
     return _report(miss) if miss is not None else _report(first, Verdict.COVER_ONLY)
 
 
@@ -146,7 +142,8 @@ def is_latin(cube: LatinCube) -> LatinCheck:
     """True iff every axis-parallel line of the table is a permutation of {1..n}."""
     d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
     lines = (tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1))
-    witness = _first_offense(lift_columns([cube.table], d, cube.n), lines, cube.n, d, {1})
+    keys = _projection_keys(lift_columns([cube.table], d, cube.n), cube.n)
+    witness = _first_offense(keys, lines, cube.n, d, {1})
     if witness is None:
         return LatinCheck(True)
     # line a skips grid column a + 1, so position a is the first not holding a + 1
@@ -174,8 +171,8 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
     m = len(cube_set.cubes)
     if m < d:
         raise ValueError(f"orthogonality needs at least d={d} cubes, got {m}")
-    tables = [cube.table for cube in cube_set.cubes]
-    w = _first_offense(lift_columns(tables, d, n), _index_sets(m, d), n, d, {1})
+    keys = _projection_keys(lift_columns([c.table for c in cube_set.cubes], d, n), n)
+    w = _first_offense(keys, _index_sets(m, d), n, d, {1})
     if w is None:
         return OrthogonalityCheck(True)
     return OrthogonalityCheck(False, w.index_set, w.values, w.multiplicity)
@@ -184,6 +181,6 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
 def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     """Exact iff the lifted family (cube values, then coordinates) is extendable."""
     d, n = cube_set.d, cube_set.n
-    tables = [cube.table for cube in cube_set.cubes]
-    subsets = _index_sets(len(tables) + d, d)
-    return _report(_first_offense(lift_columns(tables, d, n), subsets, n, d, {1}))
+    keys = _projection_keys(lift_columns([c.table for c in cube_set.cubes], d, n), n)
+    subsets = _index_sets(len(cube_set.cubes) + d, d)
+    return _report(_first_offense(keys, subsets, n, d, {1}))

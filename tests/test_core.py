@@ -1,5 +1,5 @@
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -13,7 +13,7 @@ from partite import (
     unflatten_index,
     validate_params,
 )
-from partite.core import SIZE_LIMIT, capped_power, check_size
+from partite.core import SIZE_LIMIT, _index_sets, capped_power, check_size
 
 
 def test_validate_params_accepts_valid_triple():
@@ -48,6 +48,13 @@ def test_index_sets_count_and_order():
     assert len(sets) == 20  # C(6,3)
     assert len(set(sets)) == 20
     assert sets == sorted(sets)
+
+
+def test_index_sets_are_combinations_in_order():
+    # a repeated first set would change no witness, file or golden hash
+    for pool in range(1, 10):
+        for width in range(1, pool + 1):
+            assert list(_index_sets(pool, width)) == list(combinations(range(1, pool + 1), width))
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (3, 2), (4, 3), (5, 1)])

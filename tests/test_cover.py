@@ -210,6 +210,19 @@ def test_exact_cover_size_respects_guard():
         exact_cover_size(13, 2, 2)
 
 
+# n^k = 4096 is searched, not refused; at n = 8 and 64 the keys' offset
+# (n^l - 1) // (n - 1) is furthest from a 0-based cell number.  (2, 64, 2)
+# builds an exact family of n^l blocks, so it settles at the root.
+@pytest.mark.parametrize(
+    "k,n,ell,budget,expected",
+    [(12, 2, 2, 1, None), (12, 2, 3, 1, None), (6, 4, 2, 1, None), (4, 8, 3, 1, None),
+     (2, 64, 2, 1, 4096)],
+)
+def test_exact_cover_size_runs_at_the_volume_guard(k, n, ell, budget, expected):
+    assert n**k == 4096
+    assert exact_cover_size(k, n, ell, budget=budget) == expected
+
+
 def test_exact_cover_size_budget_exhaustion_is_unknown():
     assert exact_cover_size(4, 2, 2, budget=1) is None
     # minsearch --k 5 --n 3 --l 2 --budget 200000 prints unknown (budget)

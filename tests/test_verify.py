@@ -26,14 +26,6 @@ from partite import (
     orthogonal_not_invertible_cubes,
     vandermonde_blocks,
 )
-from partite.verify import _index_sets
-
-
-def test_index_sets_are_combinations_in_order():
-    # a repeated first set would change no witness, file or golden hash
-    for pool in range(1, 10):
-        for width in range(1, pool + 1):
-            assert list(_index_sets(pool, width)) == list(combinations(range(1, pool + 1), width))
 
 
 def identity_family(k, n):
