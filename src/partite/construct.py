@@ -6,12 +6,13 @@ colours 1..ell, and any ell of the evaluation points determine the polynomial
 uniquely because the corresponding Vandermonde matrix is invertible mod a
 prime >= k.  Composite admissible orders are assembled from their prime
 factors with a Kronecker-style product on symbols.
+Every builder works in columns and crosses to rows once: one zip, one sort
+where a product has run, and one validated family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
 from math import prod
 
@@ -58,6 +59,50 @@ def smallest_blocking_prime(n: int, k: int) -> int | None:
     return next((d for d in range(2, k) if n % d == 0), None)
 
 
+def _vandermonde_columns(k: int, p: int, ell: int) -> list[list[int]]:
+    """The columns of vandermonde_blocks(k, p, ell): row r is the r-th (x_1..x_ell)."""
+    # each i - j is a unit mod p, as 0 < |i - j| < ell <= p
+    columns = []
+    for c in range(1, k + 1):
+        column = [1]
+        for i in range(1, ell + 1):
+            step = prod((c - j) * pow(i - j, -1, p) for j in range(1, ell + 1) if j != i) % p
+            successors = {x: [(x - 1 + step * a) % p + 1 for a in range(p)] for x in set(column)}
+            column = list(chain.from_iterable(map(successors.__getitem__, column)))
+        columns.append(column)
+    return columns
+
+
+def _product_columns(left, right, p: int) -> list:
+    """Iterator columns of the product of left (order p) and right; input columns are reread."""
+    # row (i, j) pairs left row i with right row j: a column chains the right column
+    # shifted by each left symbol v, built once per distinct v
+    columns = []
+    for left_column, right_column in zip(left, right):
+        shifted = {v: [v + (w - 1) * p for w in right_column] for v in set(left_column)}
+        columns.append(chain.from_iterable(map(shifted.__getitem__, left_column)))
+    return columns
+
+
+def _exact_columns(k: int, n: int, ell: int) -> tuple[list, bool]:
+    """construct(k, n, ell)'s columns, and whether their rows are sorted (no product ran)."""
+    check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
+    if ell == 1 or n == 1:
+        return [range(1, n + 1)] * k, True
+    if n < k:
+        raise ValueError(f"n >= k required (n={n}, k={k})")
+    blocking = smallest_blocking_prime(n, k)
+    if blocking is not None:
+        raise ValueError(f"prime {blocking} < k={k} divides n={n}")
+    # fold over the primes of n >= k >= 2 in increasing order, the left order multiplying up
+    factors = chain.from_iterable(
+        [(p, _vandermonde_columns(k, p, ell))] * e for p, e in factorize(n).factors)
+    order, columns = next(factors)
+    for p, right in factors:  # only the last product's columns stay iterators
+        columns, order = _product_columns(map(list, columns), right, order), order * p
+    return columns, is_prime(n)
+
+
 def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
     """All n^ell polynomial-evaluation blocks over a prime order n >= k, sorted.
 
@@ -80,17 +125,7 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
         raise ValueError(f"n >= k required (n={n}, k={k})")
     if not is_prime(n):
         raise ValueError(f"n must be prime (n={n})")
-    # row r of every column belongs to the r-th (x_1..x_ell); each i - j is a unit
-    # mod n, as 0 < |i - j| < ell <= n
-    columns = []
-    for c in range(1, k + 1):
-        column = [1]
-        for i in range(1, ell + 1):
-            step = prod((c - j) * pow(i - j, -1, n) for j in range(1, ell + 1) if j != i) % n
-            successors = {x: [(x - 1 + step * a) % n + 1 for a in range(n)] for x in set(column)}
-            column = list(chain.from_iterable(map(successors.__getitem__, column)))
-        columns.append(column)
-    return BlockFamily(params, tuple(zip(*columns)))
+    return BlockFamily(params, tuple(zip(*_vandermonde_columns(k, n, ell))))
 
 
 def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
@@ -99,11 +134,7 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
     Pairs every left block with every right block; the combined symbol at
     colour i is (w_i - 1)*p + v_i, splitting each symbol of the product order
     into a (left, right) residue pair.  Exactness of both inputs is assumed,
-    not re-verified.
-
-    Row (i, j) pairs left block i with right block j, so each product column
-    chains, for each left symbol v in turn, the right column shifted by v,
-    built once per distinct v.  One sort orders the zipped blocks.
+    not re-verified.  One sort orders the zipped blocks of _product_columns.
     """
     if left.params.k != right.params.k:
         raise ValueError(f"k mismatch: {left.params.k} vs {right.params.k}")
@@ -111,34 +142,22 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
         raise ValueError(f"ell mismatch: {left.params.ell} vs {right.params.ell}")
     p = left.params.n
     params = Params(left.params.k, p * right.params.n, left.params.ell)
-    # the columns are iterators, so only the zipped blocks are ever held whole
-    columns = []
-    for left_column, right_column in zip(zip(*left.blocks), zip(*right.blocks)):
-        shifted = {v: [v + (w - 1) * p for w in right_column] for v in set(left_column)}
-        columns.append(chain.from_iterable(map(shifted.__getitem__, left_column)))
+    columns = _product_columns(zip(*left.blocks), zip(*right.blocks), p)
     return BlockFamily(params, tuple(sorted(zip(*columns))))
 
 
 def construct(k: int, n: int, ell: int) -> BlockFamily:
     """Exact decomposition for any order n >= k with no prime factor below k.
 
-    Factors n, builds the prime-order family for each prime factor, and folds
-    the exponents left-to-right through product_decomposition (factors in
-    increasing prime order), yielding a canonical family of n^ell blocks.
+    Folds the prime-order columns of n's prime factors left to right through
+    the symbol product (factors in increasing prime order), then zips and, for
+    composite n, sorts once, yielding a canonical family of n^ell blocks.
 
     ell = 1 is accepted as a degenerate case for any k and n: the n constant
     blocks (a,..,a) hit every single vertex exactly once.  So is n = 1, which
     no prime divides: the single block (1,..,1) is all of G(k, 1).
     """
     params = Params(k, n, ell)
-    check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
-    if ell == 1 or n == 1:
-        return BlockFamily(params, tuple((a,) * k for a in range(1, n + 1)))
-    if n < k:
-        raise ValueError(f"n >= k required (n={n}, k={k})")
-    blocking = smallest_blocking_prime(n, k)
-    if blocking is not None:
-        raise ValueError(f"prime {blocking} < k={k} divides n={n}")
-    # n >= k >= 2 has a prime factor, so the fold has a first family
-    return reduce(product_decomposition, chain.from_iterable(
-        [vandermonde_blocks(k, p, ell)] * e for p, e in factorize(n).factors))
+    columns, in_order = _exact_columns(k, n, ell)
+    rows = zip(*columns)
+    return BlockFamily(params, tuple(rows if in_order else sorted(rows)))

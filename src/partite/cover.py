@@ -1,8 +1,8 @@
 """Covering families for orders where an exact decomposition is out of reach.
 
-The pipeline lifts n to the next admissible order, builds exactly there, and
-fuses symbols back down; the result covers every projection at least once and
-overshoots the n^ell lower bound by at most the lift.
+The pipeline lifts n to the next admissible order, builds exact columns there
+and fuses their symbols down before one sort; the result covers every
+projection at least once and overshoots n^ell by at most the lift.
 
 For tiny instances (n^k <= SEARCH_VOLUME_GUARD) a branch-and-bound search
 gives the exact minimum covering size: the covering-array number.  It keeps
@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import ne
 
-from .construct import construct, smallest_blocking_prime
+from .construct import _exact_columns, construct, smallest_blocking_prime
 from .core import BlockFamily, Params, capped_power, check_size, enumerate_index_sets, lift_columns
 from .verify import _projection_keys
 
@@ -43,30 +43,29 @@ def next_admissible_order(n: int, k: int) -> int:
     return candidate
 
 
+def _fused(columns, n_source: int, params: Params) -> BlockFamily:
+    """The distinct rows of columns over 1..n_source, fused onto 1..params.n and sorted."""
+    table = [0, *((v - 1) % params.n + 1 for v in range(1, n_source + 1))]
+    rows = sorted(zip(*(map(table.__getitem__, column) for column in columns)))
+    del columns  # a prime lifted order's column lists would outlive the sort
+    unique = compress(rows, map(ne, rows, [None, *rows]))
+    return BlockFamily(params, tuple(unique))
+
+
 def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
     """Fold symbols of an exact family onto {1..n_target} and deduplicate.
 
     The fusion map v -> ((v-1) mod n_target) + 1 is surjective and balanced
     and fixes symbols already in range, so every projection tuple over the
     target order stays covered by the image of its exact preimage block.
-
-    The map fixes 1..n_target, so a row whose largest symbol is in range is
-    kept as it is, and only the other rows map through a lookup table.  A
-    sorted family's rows then move only among rows sharing their prefix
-    before the first symbol above n_target, and the sort is close to linear
-    there (any family is accepted).  Sorted duplicates are neighbours; only
-    the first is kept.
+    Any family is accepted; its columns fold as build_covering's do.
     """
     p = family.params
     if n_target < 1:
         raise ValueError(f"n_target >= 1 required (n_target={n_target})")
     if n_target > p.n:
         raise ValueError(f"cannot fuse order {p.n} up to {n_target}")
-    table = [0, *((v - 1) % n_target + 1 for v in range(1, p.n + 1))]
-    rows = sorted(row if max(row) <= n_target else tuple(map(table.__getitem__, row))
-                  for row in family.blocks)
-    unique = compress(rows, map(ne, rows, [None, *rows]))
-    return BlockFamily(Params(p.k, n_target, p.ell), tuple(unique))
+    return _fused(zip(*family.blocks), p.n, Params(p.k, n_target, p.ell))
 
 
 def lifting_order(k: int, n: int, ell: int) -> int:
@@ -82,13 +81,13 @@ def build_covering(k: int, n: int, ell: int) -> BlockFamily:
     """A covering family of at most lifting_order(k,n,ell)^ell blocks.
 
     Returns the exact decomposition whenever n itself is admissible (always
-    for ell = 1); otherwise constructs at the next admissible order and fuses
-    down to n.
+    for ell = 1); otherwise fuses the exact columns of the next admissible
+    order down to n before their one sort, so no family is built there.
     """
     n_lift = lifting_order(k, n, ell)
     if n_lift == n:
         return construct(k, n, ell)
-    return fuse(construct(k, n_lift, ell), n)
+    return _fused(_exact_columns(k, n_lift, ell)[0], n_lift, Params(k, n, ell))
 
 
 def exact_cover_size(

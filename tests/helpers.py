@@ -13,6 +13,7 @@ and `mols_to_blocks` against its earlier Latin-then-orthogonal decision.
 `product_decomposition` is checked against its earlier block-by-block product.
 `fuse` is checked against its earlier set-then-sort fold, and
 `vandermonde_blocks` against its earlier coefficient enumeration and sort.
+`validated_families` records each family `BlockFamily` validates.
 """
 
 from itertools import combinations, product
@@ -46,6 +47,19 @@ def first_projection_offense(family: BlockFamily, allowed=(1,)):
             if min(hits, 2) not in allowed:
                 return positions, values, min(hits, 2)
     return None
+
+
+def validated_families(monkeypatch) -> list[int]:
+    """The block count of every family BlockFamily validates from now on, in order."""
+    sizes = []
+    validate = BlockFamily.__post_init__
+
+    def counted(family):
+        sizes.append(len(family.blocks))
+        validate(family)
+
+    monkeypatch.setattr(BlockFamily, "__post_init__", counted)
+    return sizes
 
 
 def check_blocks_reference(blocks, params: Params) -> None:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import first_projection_offense
+from helpers import first_projection_offense, validated_families
 
 from partite import (
     BlockFamily,
@@ -170,6 +170,15 @@ def test_construct_outputs_are_exact(k, n, ell):
     assert len(family.blocks) == n**ell
     assert family.is_canonical
     assert is_decomposition(family).verdict is Verdict.EXACT
+
+
+# the factors' columns fold into one zip and one sort, so no factor or inner
+# product is ever validated as a family of its own
+@pytest.mark.parametrize("k,n,ell", [(3, 27, 3), (7, 49, 3)])
+def test_construct_validates_one_family(monkeypatch, k, n, ell):
+    sizes = validated_families(monkeypatch)
+    construct(k, n, ell)
+    assert sizes == [n**ell]
 
 
 @pytest.mark.parametrize(

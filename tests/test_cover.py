@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import covers_every_pair, min_cover_binary_pairs
+from helpers import covers_every_pair, min_cover_binary_pairs, validated_families
 
 from partite import (
     Params,
@@ -120,6 +120,14 @@ def test_build_covering_lifts_and_fuses():
     assert family.params.n == 2
     assert len(family.blocks) <= 25
     assert is_covering(family).verdict is not Verdict.FAIL
+
+
+# the lifted columns are fused before the one sort: no family is validated at 49
+def test_build_covering_validates_only_the_fused_family(monkeypatch):
+    sizes = validated_families(monkeypatch)
+    family = build_covering(5, 48, 3)
+    assert sizes == [len(family.blocks)]
+    assert len(family.blocks) < 49**3
 
 
 def test_build_covering_strength_one_is_constant_blocks():

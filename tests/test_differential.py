@@ -20,11 +20,15 @@ non-Latin and non-orthogonal members.
 `product_decomposition` is compared with its earlier block-by-block product
 on any two families of orders p != q and on `construct`'s two-prime folds;
 `construct`'s prime-power folds, whose left factor has order p^2 or p^3, are
-compared with the earlier product chained over the earlier Vandermonde build.
+compared with the earlier product chained over the earlier Vandermonde build,
+and its column fold, sorted once, with that chain of sorted products at orders
+of three factors and of mixed primes.
 `fuse` is compared with its earlier set-then-sort fold on unsorted families
 with repeated blocks at every target order, and on exact families fused down
-from a lifted order.  `vandermonde_blocks` is compared, order included, with
-its earlier coefficient enumeration and sort at every prime order up to 31.
+from a lifted order; `build_covering`, which fuses the lifted columns before
+any family is built, with that fold of the lifted family at prime and
+composite lifted orders.  `vandermonde_blocks` is compared, order included,
+with its earlier coefficient enumeration and sort at every prime order up to 31.
 The minimum-cover search is compared with the earlier set-based search on
 every (k, n, ell) with n^k <= 256 that search settles, and with exhaustive
 subset search where n^k <= 16.  It is compared with its earlier recursive
@@ -36,7 +40,7 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -66,15 +70,18 @@ from partite import (
     Params,
     Verdict,
     are_mutually_orthogonal,
+    build_covering,
     construct,
     exact_cover_size,
     extract_cubes,
+    factorize,
     fuse,
     is_covering,
     is_l_extendable,
     is_latin,
     is_mutually_invertible,
     lift_cubes,
+    lifting_order,
     mols_to_blocks,
     product_decomposition,
     vandermonde_blocks,
@@ -416,6 +423,36 @@ def test_prime_power_fold_matches_chained_references(k, p, e):
     factors = [vandermonde_blocks_reference(k, p, 2)] * e
     assert family == reduce(product_decomposition_reference, factors)
     assert family.is_canonical
+
+
+# construct's one sort after the column fold: three factors, mixed primes and
+# ell = 3 against the earlier fold of sorted families, one product at a time
+@pytest.mark.parametrize(
+    "k, n, ell", [(3, 27, 3), (3, 45, 2), (4, 125, 2), (5, 343, 2), (5, 35, 2), (3, 75, 2)]
+)
+def test_construct_matches_fold_of_sorted_products(k, n, ell):
+    factors = [vandermonde_blocks_reference(k, p, ell)
+               for p, e in factorize(n).factors for _ in range(e)]
+    assert construct(k, n, ell) == reduce(product_decomposition_reference, factors)
+
+
+# (k, n, ell) that lift, with k * n'^ell <= 2^15 at the lifted order n'
+LIFTED = [(k, n, ell) for ell in (2, 3) for k in range(ell, 7) for n in range(2, 27)
+          if lifting_order(k, n, ell) != n and k * lifting_order(k, n, ell) ** ell <= 2**15]
+
+
+# and always the lifts to 49, 41, 27 = 3^3, 45 = 3^2 * 5 and 11
+@EXAMPLES
+@given(st.sampled_from(LIFTED))
+@example((5, 48, 3))
+@example((7, 40, 3))
+@example((3, 26, 3))
+@example((3, 44, 2))
+@example((8, 10, 3))
+def test_build_covering_matches_fuse_of_the_lifted_family(instance):
+    k, n, ell = instance
+    lifted = construct(k, lifting_order(k, n, ell), ell)
+    assert build_covering(k, n, ell) == fuse_reference(lifted, n)
 
 
 @st.composite
