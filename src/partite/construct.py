@@ -7,7 +7,7 @@ uniquely because the corresponding Vandermonde matrix is invertible mod a
 prime >= k.  Composite admissible orders are assembled from their prime
 factors with a Kronecker-style product on symbols.
 Every builder works in columns and crosses to rows once: one zip, one sort
-where a product has run, and one validated family.
+and one validated family.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ def _product_columns(left, right, p: int) -> list:
     return columns
 
 
-def _exact_columns(k: int, n: int, ell: int) -> tuple[list, bool]:
-    """construct(k, n, ell)'s columns, and whether their rows are sorted (no product ran)."""
+def _exact_columns(k: int, n: int, ell: int) -> list:
+    """construct(k, n, ell)'s columns; their rows come in no particular order."""
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
     if ell == 1 or n == 1:
-        return [range(1, n + 1)] * k, True
+        return [range(1, n + 1)] * k
     if n < k:
         raise ValueError(f"n >= k required (n={n}, k={k})")
     blocking = smallest_blocking_prime(n, k)
@@ -100,7 +100,7 @@ def _exact_columns(k: int, n: int, ell: int) -> tuple[list, bool]:
     order, columns = next(factors)
     for p, right in factors:  # only the last product's columns stay iterators
         columns, order = _product_columns(map(list, columns), right, order), order * p
-    return columns, is_prime(n)
+    return columns
 
 
 def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
@@ -117,7 +117,7 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
     symbol x by its n successors (x - 1 + L_i(c) * a mod n) + 1, a row built
     once for each symbol the column holds, so the first step builds one row.
     """
-    params = Params(k, n, ell)
+    Params(k, n, ell)
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
     if ell < 2:
         raise ValueError(f"ell >= 2 required for the polynomial construction (ell={ell})")
@@ -125,7 +125,7 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
         raise ValueError(f"n >= k required (n={n}, k={k})")
     if not is_prime(n):
         raise ValueError(f"n must be prime (n={n})")
-    return BlockFamily(params, tuple(zip(*_vandermonde_columns(k, n, ell))))
+    return construct(k, n, ell)
 
 
 def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
@@ -150,14 +150,11 @@ def construct(k: int, n: int, ell: int) -> BlockFamily:
     """Exact decomposition for any order n >= k with no prime factor below k.
 
     Folds the prime-order columns of n's prime factors left to right through
-    the symbol product (factors in increasing prime order), then zips and, for
-    composite n, sorts once, yielding a canonical family of n^ell blocks.
+    the symbol product (factors in increasing prime order), then zips and sorts
+    once (one linear pass where no product ran) into n^ell canonical blocks.
 
     ell = 1 is accepted as a degenerate case for any k and n: the n constant
     blocks (a,..,a) hit every single vertex exactly once.  So is n = 1, which
     no prime divides: the single block (1,..,1) is all of G(k, 1).
     """
-    params = Params(k, n, ell)
-    columns, in_order = _exact_columns(k, n, ell)
-    rows = zip(*columns)
-    return BlockFamily(params, tuple(rows if in_order else sorted(rows)))
+    return BlockFamily(Params(k, n, ell), tuple(sorted(zip(*_exact_columns(k, n, ell)))))

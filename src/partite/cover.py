@@ -2,7 +2,8 @@
 
 The pipeline lifts n to the next admissible order, builds exact columns there
 and fuses their symbols down before one sort; the result covers every
-projection at least once and overshoots n^ell by at most the lift.
+projection at least once and overshoots n^ell by at most the lift.  At an
+admissible order the fuse table is the identity: the cover is exact.
 
 For tiny instances (n^k <= SEARCH_VOLUME_GUARD) a branch-and-bound search
 gives the exact minimum covering size: the covering-array number.  It keeps
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import ne
 
-from .construct import _exact_columns, construct, smallest_blocking_prime
+from .construct import _exact_columns, smallest_blocking_prime
 from .core import BlockFamily, Params, capped_power, check_size, enumerate_index_sets, lift_columns
 from .verify import _projection_keys
 
@@ -80,14 +81,13 @@ def lifting_order(k: int, n: int, ell: int) -> int:
 def build_covering(k: int, n: int, ell: int) -> BlockFamily:
     """A covering family of at most lifting_order(k,n,ell)^ell blocks.
 
-    Returns the exact decomposition whenever n itself is admissible (always
-    for ell = 1); otherwise fuses the exact columns of the next admissible
-    order down to n before their one sort, so no family is built there.
+    Fuses the exact columns of the next admissible order down to n before
+    their one sort, building no family there.  Where n is admissible (always
+    for ell = 1) the table is the identity and no exact row repeats: that is
+    construct(k, n, ell).
     """
     n_lift = lifting_order(k, n, ell)
-    if n_lift == n:
-        return construct(k, n, ell)
-    return _fused(_exact_columns(k, n_lift, ell)[0], n_lift, Params(k, n, ell))
+    return _fused(_exact_columns(k, n_lift, ell), n_lift, Params(k, n, ell))
 
 
 def exact_cover_size(

@@ -78,8 +78,10 @@ def test_zero_coefficients_give_all_ones_block():
 
 
 def test_polynomial_family_rejects_composite_order():
-    with pytest.raises(ValueError, match="prime"):
-        vandermonde_blocks(4, 6, 2)
+    # 25 and 49 are admissible for k = 3 and 5, so only the prime guard refuses them
+    for k, n, ell in [(4, 6, 2), (3, 25, 2), (5, 49, 2)]:
+        with pytest.raises(ValueError, match=f"n must be prime \\(n={n}\\)"):
+            vandermonde_blocks(k, n, ell)
 
 
 def test_builders_refuse_sizes_above_the_limit():

@@ -436,19 +436,25 @@ def test_construct_matches_fold_of_sorted_products(k, n, ell):
     assert construct(k, n, ell) == reduce(product_decomposition_reference, factors)
 
 
-# (k, n, ell) that lift, with k * n'^ell <= 2^15 at the lifted order n'
-LIFTED = [(k, n, ell) for ell in (2, 3) for k in range(ell, 7) for n in range(2, 27)
-          if lifting_order(k, n, ell) != n and k * lifting_order(k, n, ell) ** ell <= 2**15]
+# (k, n, ell) with k * n'^ell <= 2^15 at the lifting order n', which is n itself
+# where n is admissible: there the fuse table is the identity
+COVERED = [(k, n, ell) for ell in (2, 3) for k in range(ell, 7) for n in range(2, 27)
+           if k * lifting_order(k, n, ell) ** ell <= 2**15]
 
 
-# and always the lifts to 49, 41, 27 = 3^3, 45 = 3^2 * 5 and 11
+# and always the lifts to 49, 41, 27 = 3^3, 45 = 3^2 * 5 and 11, and the
+# admissible orders 7, 25 = 5^2, ell = 1 and n = 1, which do not lift
 @EXAMPLES
-@given(st.sampled_from(LIFTED))
+@given(st.sampled_from(COVERED))
 @example((5, 48, 3))
 @example((7, 40, 3))
 @example((3, 26, 3))
 @example((3, 44, 2))
 @example((8, 10, 3))
+@example((5, 7, 2))
+@example((3, 25, 3))
+@example((4, 9, 1))
+@example((3, 1, 2))
 def test_build_covering_matches_fuse_of_the_lifted_family(instance):
     k, n, ell = instance
     lifted = construct(k, lifting_order(k, n, ell), ell)
