@@ -142,8 +142,8 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
         raise ValueError(f"ell mismatch: {left.params.ell} vs {right.params.ell}")
     p = left.params.n
     params = Params(left.params.k, p * right.params.n, left.params.ell)
-    columns = _product_columns(zip(*left.blocks), zip(*right.blocks), p)
-    return BlockFamily(params, tuple(sorted(zip(*columns))))
+    columns = (map(family._column, range(1, params.k + 1)) for family in (left, right))
+    return BlockFamily(params, tuple(sorted(zip(*_product_columns(*columns, p)))))
 
 
 def construct(k: int, n: int, ell: int) -> BlockFamily:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Block = tuple[int, ...]
@@ -124,10 +125,34 @@ class BlockFamily:
     Canonical form is lexicographically sorted with exact duplicates removed;
     duplicates are representable (they arise transiently during symbol fusion
     and in deliberately broken test inputs) but `canonical()` strips them.
+    A parsed family keeps one row-major array("I") and builds `blocks` when first read.
     """
 
     params: Params
     blocks: tuple[Block, ...]
+    _symbols = None  # the parsed array, k symbols a row; not a field
+
+    @classmethod
+    def _from_symbols(cls, params: Params, symbols, distinct) -> "BlockFamily":
+        """The family whose rows are symbols, k at a time; distinct holds each value symbols do."""
+        family = object.__new__(cls)
+        family.__dict__.update(params=params, _symbols=symbols)
+        if symbols and not 1 <= min(distinct) <= max(distinct) <= params.n:
+            i = next(i for i, v in enumerate(symbols) if not 1 <= v <= params.n) // params.k
+            _check_block(tuple(symbols[i * params.k : (i + 1) * params.k]), params)
+        return family
+
+    def __getattr__(self, name: str):
+        if name != "blocks" or self._symbols is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = tuple(zip(*[iter(self._symbols)] * self.params.k)) if self._symbols else ()
+        object.__setattr__(self, "blocks", rows)
+        return rows
+
+    def _column(self, c: int):
+        """Column c (1-based): a strided slice of the parsed symbols, or the rows' transpose."""
+        symbols, k = self._symbols, self.params.k
+        return list(map(itemgetter(c - 1), self.blocks)) if symbols is None else symbols[c - 1 :: k]
 
     def __post_init__(self) -> None:
         k, n = self.params.k, self.params.n

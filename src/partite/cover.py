@@ -66,7 +66,7 @@ def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
         raise ValueError(f"n_target >= 1 required (n_target={n_target})")
     if n_target > p.n:
         raise ValueError(f"cannot fuse order {p.n} up to {n_target}")
-    return _fused(zip(*family.blocks), p.n, Params(p.k, n_target, p.ell))
+    return _fused(map(family._column, range(1, p.k + 1)), p.n, Params(p.k, n_target, p.ell))
 
 
 def lifting_order(k: int, n: int, ell: int) -> int:

@@ -10,7 +10,6 @@ sorted.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from pathlib import Path
 
 from . import verify
@@ -63,12 +62,12 @@ def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> Cub
             f"positions must be {ell} strictly increasing values in 1..{k}, got {positions}"
         )
     _require_exact("family is not an exact decomposition", verify.is_l_extendable(family).witness)
-    # exactness makes the projection at positions a bijection onto the grid,
-    # so the blocks placed at its keys come in row-major order, like the tables
-    rows = verify._placed(family.blocks, verify._block_keys(family), positions, n)
+    # exactness places the n^ell row numbers at their keys at positions in
+    # row-major order, like the tables, which gather the free columns by them
+    order = verify._placed(range(n**ell), verify._block_keys(family), positions, n)
     taken = set(positions)
-    free = [j - 1 for j in range(1, k + 1) if j not in taken]
-    cubes = tuple(LatinCube(ell, n, tuple(map(itemgetter(j), rows))) for j in free)
+    free = (family._column(j) for j in range(1, k + 1) if j not in taken)
+    cubes = tuple(LatinCube(ell, n, tuple(map(column.__getitem__, order))) for column in free)
     return CubeSet(ell, n, cubes)
 
 

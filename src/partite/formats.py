@@ -1,13 +1,16 @@
 """The two text file formats and the witness line.
 
 Block files: header `blocks k n l count`, then `count` lines of k symbols,
-sorted lexicographically.  Cube files: header `cubes d n m`, then for each
-cube n^(d-1) lines of n symbols, last coordinate fastest.  Both formats are
-LF-terminated with single spaces and no trailing whitespace, so identical
-objects always serialize to identical bytes.
+sorted lexicographically; a parse keeps them in one row-major array("I") and
+reads rows only to name a broken line or token.  Cube files: header `cubes d n
+m`, then for each cube n^(d-1) lines of n symbols, last coordinate fastest.
+Both formats are LF-terminated with single spaces and no trailing whitespace,
+so identical objects always serialize to identical bytes.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, check_size
 
@@ -41,9 +44,22 @@ def parse_blocks(text: str) -> BlockFamily:
     k, n, ell, count = (int(tok) for tok in header[1:])
     if len(lines) - 1 != count:
         raise ValueError(f"header says {count} blocks, file has {len(lines) - 1}")
-    symbol = _Tokens().__getitem__
-    blocks = [tuple(map(symbol, line.split())) for line in lines[1:]]
-    return BlockFamily(Params(k, n, ell), tuple(blocks))
+    memo = _Tokens()
+    symbols = array("I")
+    for start in range(1, len(lines), 1024):  # one chunk's tokens are held at a time
+        chunk = lines[start : start + 1024]
+        tokens = (" ; ".join(chunk) + " ;").split()  # a ";" marker ends each line
+        if len(tokens) != (k + 1) * len(chunk):
+            break
+        del tokens[k :: k + 1]  # the markers if each line holds k tokens, else one fails int()
+        try:
+            symbols.extend(map(memo.__getitem__, tokens))
+        except (ValueError, OverflowError):  # no int, or one outside 0..2^32-1
+            break
+    else:
+        return BlockFamily._from_symbols(Params(k, n, ell), symbols, memo.values())
+    blocks = [tuple(map(memo.__getitem__, line.split())) for line in lines[1:]]
+    return BlockFamily(Params(k, n, ell), tuple(blocks))  # int() or this names the first break
 
 
 def format_cubes(cube_set: CubeSet) -> str:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import repeat
-from operator import itemgetter, setitem
+from operator import setitem
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
 from .core import _index_sets, check_size, lift_columns, unflatten_index
@@ -96,7 +96,7 @@ def _first_offense(keys, subsets, n: int, width: int, allowed: set[int]) -> Witn
 
 def _block_keys(family: BlockFamily):
     """The key function over a family's block positions."""
-    return _projection_keys(lambda c: list(map(itemgetter(c - 1), family.blocks)), family.params.n)
+    return _projection_keys(family._column, family.params.n)
 
 
 def _report(witness: Witness | None, verdict: Verdict = Verdict.FAIL) -> VerifyReport:

@@ -19,6 +19,7 @@ from partite import (
     blocks_to_mols,
     construct,
     extract_cubes,
+    is_l_extendable,
     orthogonal_not_invertible_cubes,
 )
 from partite.cli import (
@@ -507,6 +508,10 @@ def test_over_large_requests_exit_2_quickly(tmp_path, capsys, argv, message):
         ("blocks 1000000 2 1 0\n", ["verify", "--mode", "cover"], 1, "MISS 1 : 1\n"),
         ("blocks 1000000 1 1 0\n", ["verify", "--mode", "exact"], 1, "MISS 1 : 1\n"),
         ("blocks 1000000 1 1 0\n", ["verify", "--mode", "cover"], 1, "MISS 1 : 1\n"),
+        # the empty family's columns are empty slices, so no k-long row or column list forms
+        pytest.param("blocks 1000000 2 2 0\n",
+                     ["cubes", "--action", "blocks2mols", "-o", os.devnull], 2, "",
+                     id="blocks2mols-wide-empty-family"),
     ],
 )
 def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
@@ -523,6 +528,23 @@ def test_large_headers_answer_quickly(tmp_path, capsys, text, argv, code, out):
     assert elapsed < 0.5
     assert peak < 2 * 2**20
     assert capsys.readouterr().out == out
+
+
+def test_block_file_check_builds_no_rows():
+    # parse_blocks keeps the (7,49,3) file as one array("I") and the check packs
+    # strided slices of it; its 117,649 row tuples took the peak to 21.2 MiB.
+    # The parse holds the peak, so the last block is dropped and the first index
+    # set fails: the exact file's 35 sets take 8 s under tracemalloc, at one peak
+    lines = format_blocks(construct(7, 49, 3)).split("\n")
+    text = "\n".join([f"blocks 7 49 3 {49**3 - 1}"] + lines[1:-2] + [""])
+    tracemalloc.start()
+    try:
+        witness = is_l_extendable(parse_blocks(text)).witness
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (witness.index_set, witness.values, witness.multiplicity) == ((1, 2, 3), (49, 49, 49), 0)
+    assert peak < 18 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ from exact constructions and get one change each: a changed symbol, a
 dropped or duplicated block, a swapped cube entry, or no blocks at all.
 Covering is also checked on exact families with one symbol changed past
 position ell, whose first offense lies past the first index set.
-Damaged files get one textual change each: a token written as 07, +3, 0,
-n+1 or x, an extra or a missing token, a blank line, or CRLF line ends.
+Damaged files get one textual change each: a token written as 07, +3, -3, 0,
+n+1, 2^32 + 1 or x, an extra or a missing token, a token moved from one line
+to another, a line of 2k + 1 tokens, a tab or a doubled space, n+1 and n+2 on
+two lines, a blank line, or CRLF line ends.
 `BlockFamily` validation is compared with its earlier per-block loop on
 blocks one symbol too short or too long and symbols one outside 1..n.
 The lift is compared with the point-by-point lift on any tables, Latin or
@@ -338,26 +340,57 @@ def test_mols_to_blocks_matches_latin_then_orthogonal_decision(squares):
 
 @st.composite
 def damaged_text(draw, text: str, n: int) -> str:
-    """text with one change: a rewritten, extra or missing token, a blank line, or CRLF."""
+    """text with one change: a rewritten, extra or missing token, a blank line, or CRLF.
+
+    The block parse checks each line's token count per chunk and decides the
+    symbol range over all lines at once, so five changes aim at that: a token
+    added to one line and removed from another, a line of 2k + 1 tokens, a tab
+    or a doubled space between tokens, and two out-of-range symbols on two
+    lines, of which the first in file order is named.  Negative symbols and
+    2^32 + 1 do not fit an unsigned 32-bit field.
+    """
     damage = draw(st.sampled_from(
-        ["none", "07", "+3", "0", "n+1", "x", "extra", "missing", "blank", "crlf"]))
+        ["none", "07", "+3", "0", "n+1", "x", "extra", "missing", "blank", "crlf",
+         "compensating", "-3", "4294967297", "gap", "two out of range", "block more"]))
     if damage == "crlf":
         return text.replace("\n", "\r\n")
     lines = text.split("\n")[:-1]
-    i = draw(st.integers(0, len(lines) - 1))
+    # the changes aimed at the block parse touch body lines only, so no header grows
+    body = damage in ("compensating", "-3", "4294967297", "gap", "two out of range", "block more")
+    if body and len(lines) == 1:
+        return text
+    i = draw(st.integers(1 if body else 0, len(lines) - 1))
+    other = i
+    if damage in ("compensating", "two out of range") and len(lines) > 2:  # two block lines
+        other = draw(st.integers(1, len(lines) - 1).filter(lambda line: line != i))
+
+    def change(line: int, how: str) -> None:
+        tokens = lines[line].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        if how == "missing":
+            del tokens[j]
+        elif how == "extra":
+            tokens.insert(j, tokens[j])
+        elif how == "block more":  # 2k + 1 tokens: with the line end, a whole k + 1 too many
+            tokens += tokens + [tokens[j]]
+        else:  # "0", "x" and "4294967297" replace the token as they are
+            rewrite = {"07": "0" + tokens[j], "+3": "+" + tokens[j], "-3": "-" + tokens[j],
+                       "n+1": str(n + 1), "n+2": str(n + 2)}
+            tokens[j] = rewrite.get(how, how)
+        lines[line] = " ".join(tokens)
+
     if damage == "blank":
         lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+    elif damage == "gap":
+        lines[i] = lines[i].replace(" ", draw(st.sampled_from(["\t", "  "])), 1)
+    elif damage == "compensating":
+        change(i, "extra")
+        change(other, "missing")
+    elif damage == "two out of range":
+        change(i, "n+1")
+        change(other, "n+2")
     elif damage != "none":
-        tokens = lines[i].split(" ")
-        j = draw(st.integers(0, len(tokens) - 1))
-        if damage == "missing":
-            del tokens[j]
-        elif damage == "extra":
-            tokens.insert(j, tokens[j])
-        else:  # "0" and "x" replace the token as they are
-            rewrite = {"07": "0" + tokens[j], "+3": "+" + tokens[j], "n+1": str(n + 1)}
-            tokens[j] = rewrite.get(damage, damage)
-        lines[i] = " ".join(tokens)
+        change(i, damage)
     return "\n".join(lines) + "\n"
 
 
@@ -375,6 +408,22 @@ def test_block_format_matches_reference(family, data):
     assert text == format_blocks_reference(family)
     damaged = data.draw(damaged_text(text, family.params.n))
     assert _outcome(parse_blocks, damaged) == _outcome(parse_blocks_reference, damaged)
+
+
+@EXAMPLES
+@given(families)
+def test_parsed_family_matches_its_rows(family):
+    # a parsed file keeps its symbols in one array and the checks read its
+    # columns; the rows are built only when .blocks is read, after the checks
+    parsed, rows = parse_blocks(format_blocks(family)), BlockFamily(family.params, family.blocks)
+    assert is_l_extendable(parsed) == is_l_extendable(rows)
+    assert is_covering(parsed) == is_covering(rows)
+    assert _outcome(extract_cubes, parsed) == _outcome(extract_cubes, rows)
+    assert fuse(parsed, max(1, family.params.n - 1)) == fuse(rows, max(1, family.params.n - 1))
+    assert "blocks" not in vars(parsed)
+    assert (parsed, hash(parsed), repr(parsed)) == (family, hash(family), repr(family))
+    assert parsed.canonical() == rows.canonical()
+    assert parsed.is_canonical == rows.is_canonical
 
 
 @FORMAT_EXAMPLES
