@@ -12,6 +12,7 @@ is minsearch's candidate grid.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, islice
 from operator import itemgetter
@@ -102,10 +103,32 @@ def unflatten_index(index: int, n: int, d: int) -> tuple[int, ...]:
 
 
 def lift_columns(tables: Sequence[Sequence[int]], d: int, n: int):
-    """Lift column c: table c for c <= m, else grid axis c - m, last axis fastest."""
+    """Lift column c: table c for c <= m, else grid axis c - m, last axis fastest.
+
+    A grid axis is an array("I") built by repetition: a run of each of 1..n,
+    n^(d + m - c) long, and the n runs repeated n^(c - m - 1) times.
+    """
     m = len(tables)
-    return lambda c: tables[c - 1] if c <= m else (
-        [x for x in range(1, n + 1) for _ in range(n ** (d + m - c))] * n ** (c - m - 1))
+    return lambda c: tables[c - 1] if c <= m else array("I", b"".join(
+        array("I", (x,)).tobytes() * n ** (d + m - c) for x in range(1, n + 1))) * n ** (c - m - 1)
+
+
+def _first_outside(symbols, n: int) -> int:
+    """Index of the first of symbols outside 1..n, which must hold one.
+
+    C-level min and max rule out 4,096 symbols at a time; only the first chunk
+    that fails is scanned symbol by symbol, so a refusal stays linear.
+    """
+    for start in range(0, len(symbols), 4096):
+        chunk = symbols[start : start + 4096]
+        if not 1 <= min(chunk) <= max(chunk) <= n:
+            return start + next(i for i, v in enumerate(chunk) if not 1 <= v <= n)
+
+
+def _check_symbols(symbols, n: int, distinct) -> None:
+    """Refuse the first of symbols outside 1..n; distinct holds each value symbols do."""
+    if distinct and not 1 <= min(distinct) <= max(distinct) <= n:
+        raise ValueError(f"symbol {symbols[_first_outside(symbols, n)]} outside 1..{n}")
 
 
 def _check_block(block: Block, params: Params) -> None:
@@ -138,7 +161,7 @@ class BlockFamily:
         family = object.__new__(cls)
         family.__dict__.update(params=params, _symbols=symbols)
         if symbols and not 1 <= min(distinct) <= max(distinct) <= params.n:
-            i = next(i for i, v in enumerate(symbols) if not 1 <= v <= params.n) // params.k
+            i = _first_outside(symbols, params.n) // params.k
             _check_block(tuple(symbols[i * params.k : (i + 1) * params.k]), params)
         return family
 
@@ -178,11 +201,32 @@ class LatinCube:
 
     Construction validates shape and symbol range only; the Latin property
     itself is a verification verdict, so non-Latin tables are representable.
+    A parsed or extracted cube keeps one array("I") and builds the `table`
+    tuple when first read; the checks, the lift and the writer read the array.
     """
 
     d: int
     n: int
     table: tuple[int, ...]
+    _symbols = None  # the array, n^d checked symbols; not a field
+
+    @classmethod
+    def _from_symbols(cls, d: int, n: int, symbols: array) -> "LatinCube":
+        """The cube whose table is symbols, which the caller checked: n^d values in 1..n."""
+        cube = object.__new__(cls)
+        cube.__dict__.update(d=d, n=n, _symbols=symbols)
+        return cube
+
+    def __getattr__(self, name: str):
+        if name != "table" or self._symbols is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table = tuple(self._symbols)
+        object.__setattr__(self, "table", table)
+        return table
+
+    def _table(self):
+        """The table as stored: the array, or the tuple of a built cube."""
+        return self.table if self._symbols is None else self._symbols
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.n < 1:
@@ -193,13 +237,10 @@ class LatinCube:
         if volume != entries:
             expected = volume if volume <= limit else f"{self.n}^{self.d}"
             raise ValueError(f"table has {entries} entries, expected n^d = {expected}")
-        # decide on the distinct symbols; only a failing table is scanned for the first
-        if not all(1 <= v <= self.n for v in set(self.table)):
-            bad = next(v for v in self.table if not 1 <= v <= self.n)
-            raise ValueError(f"symbol {bad} outside 1..{self.n}")
+        _check_symbols(self.table, self.n, set(self.table))
 
     def value(self, coords: Sequence[int]) -> int:
-        return self.table[flatten_coords(coords, self.n)]
+        return self._table()[flatten_coords(coords, self.n)]
 
 
 @dataclass(frozen=True)

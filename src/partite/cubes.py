@@ -10,6 +10,7 @@ sorted.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 from . import verify
@@ -67,7 +68,8 @@ def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> Cub
     order = verify._placed(range(n**ell), verify._block_keys(family), positions, n)
     taken = set(positions)
     free = (family._column(j) for j in range(1, k + 1) if j not in taken)
-    cubes = tuple(LatinCube(ell, n, tuple(map(column.__getitem__, order))) for column in free)
+    cubes = tuple(LatinCube._from_symbols(ell, n, array("I", map(column.__getitem__, order)))
+                  for column in free)  # the family's symbols passed its range check
     return CubeSet(ell, n, cubes)
 
 
@@ -81,7 +83,7 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     check_size(f"n^d = {n}^{d}", n, d)
     m = len(cube_set.cubes)
     check_size(f"(m+d)*n^d = {m + d}*{n}^{d}", n, d, factor=m + d)  # the symbols it writes
-    column = lift_columns([cube.table for cube in cube_set.cubes], d, n)
+    column = lift_columns([cube._table() for cube in cube_set.cubes], d, n)
     rows = list(zip(*map(column, range(1, m + d + 1))))
     # rows with distinct first-d prefixes sort by them alone, that is in the
     # order of their keys there; only prefixes that collide need the sort

@@ -3,16 +3,25 @@
 Block files: header `blocks k n l count`, then `count` lines of k symbols,
 sorted lexicographically; a parse keeps them in one row-major array("I") and
 reads rows only to name a broken line or token.  Cube files: header `cubes d n
-m`, then for each cube n^(d-1) lines of n symbols, last coordinate fastest.
-Both formats are LF-terminated with single spaces and no trailing whitespace,
-so identical objects always serialize to identical bytes.
+m`, then for each cube n^(d-1) lines of n symbols, last coordinate fastest; a
+parse converts the body about 64 KiB of text at a time into one array("I"),
+and each cube keeps its slice.  Both formats are LF-terminated with single
+spaces and no trailing whitespace, so identical objects always serialize to
+identical bytes; both writers join about 4,096 lines at a time, so no output
+holds a str per line.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
+from itertools import chain, islice
 
-from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, check_size
+from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, _check_symbols, check_size
+
+_CUBE_HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)")  # the first four tokens
+_SPACE = re.compile(r"\s")  # the whitespace str.split() splits at
+_CUBE_CHUNK = 1 << 16  # characters of cube body text split at a time
 
 
 class _Tokens(dict):
@@ -26,12 +35,17 @@ class _Tokens(dict):
         return value
 
 
+def _joined(header: str, width: int, rows) -> str:
+    """The header line, then one line of width symbols per row, 4,096 lines a join."""
+    row, rows, parts = " ".join(["%d"] * width) + "\n", iter(rows), [header + "\n"]
+    while chunk := "".join(map(row.__mod__, islice(rows, 4096))):
+        parts.append(chunk)
+    return "".join(parts)
+
+
 def format_blocks(family: BlockFamily) -> str:
     p = family.params
-    row = " ".join(["%d"] * p.k)
-    lines = [f"blocks {p.k} {p.n} {p.ell} {len(family.blocks)}"]
-    lines.extend(row % block for block in family.blocks)
-    return "\n".join(lines) + "\n"
+    return _joined(f"blocks {p.k} {p.n} {p.ell} {len(family.blocks)}", p.k, family.blocks)
 
 
 def parse_blocks(text: str) -> BlockFamily:
@@ -64,32 +78,36 @@ def parse_blocks(text: str) -> BlockFamily:
 
 def format_cubes(cube_set: CubeSet) -> str:
     d, n = cube_set.d, cube_set.n
-    row = " ".join(["%d"] * n)
-    lines = [f"cubes {d} {n} {len(cube_set.cubes)}"]
-    for cube in cube_set.cubes:
-        table = cube.table
-        lines.extend(row % table[start : start + n] for start in range(0, len(table), n))
-    return "\n".join(lines) + "\n"
+    lines = chain.from_iterable(zip(*[iter(c._table())] * n) for c in cube_set.cubes)
+    return _joined(f"cubes {d} {n} {len(cube_set.cubes)}", n, lines)
 
 
 def parse_cubes(text: str) -> CubeSet:
-    tokens = text.split()
-    if len(tokens) < 4 or tokens[0] != "cubes":
+    header = _CUBE_HEADER.match(text)
+    if header is None or header[1] != "cubes":
         raise ValueError("bad cube header")
-    d, n, m = (int(tok) for tok in tokens[1:4])
+    d, n, m = (int(tok) for tok in header.groups()[1:])
     if min(d, n, m) < 0:
-        raise ValueError(f"bad cube header: negative value in {' '.join(tokens[:4])!r}")
+        raise ValueError(f"bad cube header: negative value in {' '.join(header.groups())!r}")
     CubeSet(d, n, ())  # the header's geometry, before its value count
     expected = check_size(f"m*n^d = {m}*{n}^{d}", n, d, factor=m)
-    values = list(map(_Tokens().__getitem__, tokens[4:]))
+    memo, values, start = _Tokens(), array("I"), header.end()
+    try:
+        while start < len(text):  # cut after a whitespace character, so no token is split
+            cut = _SPACE.search(text, start + _CUBE_CHUNK)
+            end = cut.end() if cut else len(text)
+            values.extend(map(memo.__getitem__, text[start:end].split()))
+            start = end
+    except OverflowError:  # a value outside 0..2^32-1; int() may yet fail on a later token
+        values = list(map(memo.__getitem__, text[header.end() :].split()))
     if len(values) != expected:
         raise ValueError(
             f"cube file has {len(values)} values, expected m*n^d = {expected}"
         )
+    _check_symbols(values, n, memo.values())  # the whole file's range, decided once
     volume = expected // m if m else 0
     members = tuple(
-        LatinCube(d, n, tuple(values[i * volume : (i + 1) * volume]))
-        for i in range(m)
+        LatinCube._from_symbols(d, n, values[i * volume : (i + 1) * volume]) for i in range(m)
     )
     return CubeSet(d, n, members)
 

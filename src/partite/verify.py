@@ -142,7 +142,7 @@ def is_latin(cube: LatinCube) -> LatinCheck:
     """True iff every axis-parallel line of the table is a permutation of {1..n}."""
     d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
     lines = (tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1))
-    keys = _projection_keys(lift_columns([cube.table], d, cube.n), cube.n)
+    keys = _projection_keys(lift_columns([cube._table()], d, cube.n), cube.n)
     witness = _first_offense(keys, lines, cube.n, d, {1})
     if witness is None:
         return LatinCheck(True)
@@ -171,7 +171,7 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
     m = len(cube_set.cubes)
     if m < d:
         raise ValueError(f"orthogonality needs at least d={d} cubes, got {m}")
-    keys = _projection_keys(lift_columns([c.table for c in cube_set.cubes], d, n), n)
+    keys = _projection_keys(lift_columns([c._table() for c in cube_set.cubes], d, n), n)
     w = _first_offense(keys, _index_sets(m, d), n, d, {1})
     if w is None:
         return OrthogonalityCheck(True)
@@ -181,6 +181,6 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
 def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     """Exact iff the lifted family (cube values, then coordinates) is extendable."""
     d, n = cube_set.d, cube_set.n
-    keys = _projection_keys(lift_columns([c.table for c in cube_set.cubes], d, n), n)
+    keys = _projection_keys(lift_columns([c._table() for c in cube_set.cubes], d, n), n)
     subsets = _index_sets(len(cube_set.cubes) + d, d)
     return _report(_first_offense(keys, subsets, n, d, {1}))

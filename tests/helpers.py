@@ -3,9 +3,10 @@
 These deliberately re-count projections cell by cell with nested loops, so
 they stay independent of the library's bucket-counting passes.
 `BlockFamily` validation is checked against its earlier per-block loop.  The
-text format oracles convert and join one token at a time.  The minimum-cover
-oracles are the earlier set-based search, the earlier recursive bitmask
-search, and the closed form for n = 2, ell = 2.  The lift and extraction are
+text format oracles convert and join one token at a time; the cube oracle
+multiplies m*n^d up one n at a time and checks each cube's symbols with the
+per-symbol loop.  The minimum-cover oracles are the earlier set-based search,
+the earlier recursive bitmask search, and the closed form for n = 2, ell = 2.  The lift and extraction are
 rebuilt one domain point at a time.
 `LatinCube` symbol validation is checked against its earlier per-symbol loop,
 and `mols_to_blocks` against its earlier Latin-then-orthogonal decision.
@@ -30,7 +31,7 @@ from partite import (
     verify,
 )
 from partite.construct import is_prime
-from partite.core import capped_power, check_size
+from partite.core import SIZE_LIMIT, capped_power, check_size
 from partite.cover import DEFAULT_BUDGET, SEARCH_VOLUME_GUARD
 
 
@@ -285,20 +286,31 @@ def format_cubes_reference(cube_set: CubeSet) -> str:
 
 
 def parse_cubes_reference(text: str) -> CubeSet:
-    """A cube file read back with one int() per token; small headers only."""
+    """A cube file read back with one int() per token, each cube range-checked on its own.
+
+    m*n^d is multiplied up one n at a time and refused once past SIZE_LIMIT,
+    so no header, however large, forms n^d.
+    """
     tokens = text.split()
     if len(tokens) < 4 or tokens[0] != "cubes":
         raise ValueError("bad cube header")
     d, n, m = (int(tok) for tok in tokens[1:4])
+    if min(d, n, m) < 0:
+        raise ValueError(f"bad cube header: negative value in {' '.join(tokens[:4])!r}")
     CubeSet(d, n, ())  # a zero dimension is named before the value count
+    expected, power = m, 0
+    while power < d and n > 1 and 0 < expected <= SIZE_LIMIT:
+        expected, power = expected * n, power + 1
+    if expected > SIZE_LIMIT:
+        raise ValueError(f"m*n^d = {m}*{n}^{d} exceeds the size limit {SIZE_LIMIT}")
     values = [int(tok) for tok in tokens[4:]]
-    if len(values) != m * n**d:
-        raise ValueError(f"cube file has {len(values)} values, expected m*n^d = {m * n**d}")
-    volume = n**d
-    members = tuple(
-        LatinCube(d, n, tuple(values[i * volume : (i + 1) * volume])) for i in range(m)
-    )
-    return CubeSet(d, n, members)
+    if len(values) != expected:
+        raise ValueError(f"cube file has {len(values)} values, expected m*n^d = {expected}")
+    volume = expected // m if m else 0
+    tables = [tuple(values[i * volume : (i + 1) * volume]) for i in range(m)]
+    for table in tables:
+        check_cube_symbols_reference(n, table)
+    return CubeSet(d, n, tuple(LatinCube(d, n, table) for table in tables))
 
 
 def min_cover_binary_pairs(k: int) -> int:

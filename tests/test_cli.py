@@ -16,6 +16,7 @@ import partite
 from partite import (
     BlockFamily,
     CubeSet,
+    are_mutually_orthogonal,
     blocks_to_mols,
     construct,
     extract_cubes,
@@ -545,6 +546,35 @@ def test_block_file_check_builds_no_rows():
         tracemalloc.stop()
     assert (witness.index_set, witness.values, witness.multiplicity) == ((1, 2, 3), (49, 49, 49), 0)
     assert peak < 18 * 2**20
+
+
+def test_cube_file_check_builds_no_tuples():
+    # parse_cubes converts the (7,49,3) cube file 64 KiB of text at a time into
+    # one array("I"), each cube keeps its slice and the check packs it; the
+    # whole-file split held 470,600 str and took the peak to 31.1 MiB
+    text = format_cubes(extract_cubes(construct(7, 49, 3)))
+    tracemalloc.start()
+    try:
+        result = are_mutually_orthogonal(parse_cubes(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < 10 * 2**20
+
+
+def test_block_writer_holds_no_str_per_line():
+    # format_blocks joins 4,096 lines at a time; a str per line of the
+    # (7,49,3) family took the peak to 13.0 MiB
+    family = construct(7, 49, 3)
+    tracemalloc.start()
+    try:
+        text = format_blocks(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 49**3 + 1
+    assert peak < 7 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,11 @@ position ell, whose first offense lies past the first index set.
 Damaged files get one textual change each: a token written as 07, +3, -3, 0,
 n+1, 2^32 + 1 or x, an extra or a missing token, a token moved from one line
 to another, a line of 2k + 1 tokens, a tab or a doubled space, n+1 and n+2 on
-two lines, a blank line, or CRLF line ends.
+two lines, a blank line, CRLF line ends, or a header number set to 0, -3,
+2^32 + 1 or 10^30.  Files of two parse chunks (1,331 block lines, an 82 KB
+cube file) get x, n+1 or -3 at the end of the first chunk, the start of the
+second, the last token, or both ends, with LF, CRLF, tab-separated and (cubes)
+one-line layouts.  A parsed cube system is compared with the built one.
 `BlockFamily` validation is compared with its earlier per-block loop on
 blocks one symbol too short or too long and symbols one outside 1..n.
 The lift is compared with the point-by-point lift on any tables, Latin or
@@ -38,6 +42,7 @@ body, which pruned each child on entry, at random budgets on the same
 instances: both must run out or settle alike, so they visit the same tree.
 """
 
+import re
 from functools import reduce
 from itertools import combinations
 
@@ -90,6 +95,7 @@ from partite import (
 )
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from partite.construct import is_prime
+from partite.formats import _CUBE_CHUNK
 from test_cover import brute_force_minimum_cover
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)
@@ -347,19 +353,18 @@ def damaged_text(draw, text: str, n: int) -> str:
     added to one line and removed from another, a line of 2k + 1 tokens, a tab
     or a doubled space between tokens, and two out-of-range symbols on two
     lines, of which the first in file order is named.  Negative symbols and
-    2^32 + 1 do not fit an unsigned 32-bit field.
+    2^32 + 1 do not fit an unsigned 32-bit field.  Any change may fall on the
+    header, and one always does: a header number becomes 0, -3, 2^32 + 1 or
+    10^30, so the cube parse's size guard meets a huge d, n or m.
     """
     damage = draw(st.sampled_from(
         ["none", "07", "+3", "0", "n+1", "x", "extra", "missing", "blank", "crlf",
-         "compensating", "-3", "4294967297", "gap", "two out of range", "block more"]))
+         "compensating", "-3", "4294967297", "gap", "two out of range", "block more",
+         "header"]))
     if damage == "crlf":
         return text.replace("\n", "\r\n")
     lines = text.split("\n")[:-1]
-    # the changes aimed at the block parse touch body lines only, so no header grows
-    body = damage in ("compensating", "-3", "4294967297", "gap", "two out of range", "block more")
-    if body and len(lines) == 1:
-        return text
-    i = draw(st.integers(1 if body else 0, len(lines) - 1))
+    i = draw(st.integers(0, len(lines) - 1))
     other = i
     if damage in ("compensating", "two out of range") and len(lines) > 2:  # two block lines
         other = draw(st.integers(1, len(lines) - 1).filter(lambda line: line != i))
@@ -373,6 +378,8 @@ def damaged_text(draw, text: str, n: int) -> str:
             tokens.insert(j, tokens[j])
         elif how == "block more":  # 2k + 1 tokens: with the line end, a whole k + 1 too many
             tokens += tokens + [tokens[j]]
+        elif how == "header":  # a number, not the leading word
+            tokens[max(j, 1)] = draw(st.sampled_from(["0", "-3", "4294967297", str(10**30)]))
         else:  # "0", "x" and "4294967297" replace the token as they are
             rewrite = {"07": "0" + tokens[j], "+3": "+" + tokens[j], "-3": "-" + tokens[j],
                        "n+1": str(n + 1), "n+2": str(n + 2)}
@@ -389,6 +396,8 @@ def damaged_text(draw, text: str, n: int) -> str:
     elif damage == "two out of range":
         change(i, "n+1")
         change(other, "n+2")
+    elif damage == "header":
+        change(0, "header")
     elif damage != "none":
         change(i, damage)
     return "\n".join(lines) + "\n"
@@ -433,6 +442,72 @@ def test_cube_format_matches_reference(cube_set, data):
     assert text == format_cubes_reference(cube_set)
     damaged = data.draw(damaged_text(text, cube_set.n))
     assert _outcome(parse_cubes, damaged) == _outcome(parse_cubes_reference, damaged)
+
+
+@EXAMPLES
+@given(cube_sets())
+def test_parsed_cubes_match_their_tables(cube_set):
+    # a parsed cube keeps its slice of the file's array and the checks, the
+    # lift and the writer read it; the table tuple is built only when read
+    parsed = parse_cubes(format_cubes(cube_set))
+    assert [is_latin(c) for c in parsed.cubes] == [is_latin(c) for c in cube_set.cubes]
+    assert _outcome(are_mutually_orthogonal, parsed) == _outcome(are_mutually_orthogonal, cube_set)
+    assert is_mutually_invertible(parsed) == is_mutually_invertible(cube_set)
+    assert lift_cubes(parsed) == lift_cubes(cube_set)
+    assert format_cubes(parsed) == format_cubes(cube_set)
+    assert all("table" not in vars(c) for c in parsed.cubes)
+    assert (parsed, hash(parsed), repr(parsed)) == (cube_set, hash(cube_set), repr(cube_set))
+    assert all(type(c.table) is tuple for c in parsed.cubes)
+
+
+# Two-chunk files: 1,331 block lines against chunks of 1,024, and an 82 KB cube
+# file against 64 KiB of text, in every layout the parses accept
+SEAM_TEXTS = {
+    "blocks": format_blocks(construct(4, 11, 3)),
+    "cubes": format_cubes(extract_cubes(construct(5, 25, 3))),
+}
+LAYOUTS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "one line": lambda text: text.replace("\n", " "),
+}
+
+
+def _first_chunk_end(text: str, kind: str) -> int:
+    """An offset in the last token of the parse's first chunk, or just past it."""
+    if kind == "blocks":  # the header and 1,024 lines: the 1,025th line end
+        return reduce(lambda at, _: text.index("\n", at + 1), range(1025), -1)
+    return list(re.finditer(r"\S+", text))[3].end() + _CUBE_CHUNK  # after the header
+
+
+@pytest.mark.parametrize("kind, layout, damage, where", [
+    (kind, layout, damage, where)
+    for kind in SEAM_TEXTS
+    for layout in LAYOUTS if (kind, layout) != ("blocks", "one line")
+    for damage, where in [(None, None)] + [
+        (damage, where) for damage in ["x", "n+1", "-3"]
+        for where in ["first chunk end", "second chunk start", "last token", "both ends"]]
+])
+def test_damage_across_the_chunk_seam(kind, layout, damage, where):
+    text = LAYOUTS[layout](SEAM_TEXTS[kind])
+    seam = _first_chunk_end(text, kind)
+    assert seam < len(text) - 100  # a second chunk exists
+    if damage is not None:
+        tokens = list(re.finditer(r"\S+", text))
+        first_end = max(i for i, token in enumerate(tokens) if token.start() <= seam)
+        # "both ends" writes a second value over 4,096 symbols later: the first is named
+        at = {"first chunk end": [first_end], "second chunk start": [first_end + 1],
+              "last token": [-1], "both ends": [-1, first_end]}[where]
+        n = int(text.split()[2])
+        new = {"x": ["x", "y"], "n+1": [str(n + 1), str(n + 2)], "-3": ["-3", "-4"]}[damage]
+        for i in at:  # the later token first, so the earlier offsets hold
+            text = text[: tokens[i].start()] + new[i == -1] + text[tokens[i].end() :]
+    parse, reference = {"blocks": (parse_blocks, parse_blocks_reference),
+                        "cubes": (parse_cubes, parse_cubes_reference)}[kind]
+    expected = _outcome(reference, text)
+    assert _outcome(parse, text) == expected
+    assert isinstance(expected, str) is (damage is not None)
 
 
 @st.composite
