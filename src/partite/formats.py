@@ -1,11 +1,12 @@
 """The two text file formats and the witness line.
 
 Block files: header `blocks k n l count`, then `count` lines of k symbols,
-sorted lexicographically; a parse keeps them in one row-major array("I") and
-reads rows only to name a broken line or token.  Cube files: header `cubes d n
-m`, then for each cube n^(d-1) lines of n symbols, last coordinate fastest; a
-parse converts the body about 64 KiB of text at a time into one array("I"),
-and each cube keeps its slice.  Both formats are LF-terminated with single
+sorted lexicographically; a parse splits the text into lines about 64 KiB at a
+time, counts them and converts them into one row-major array("I"), and reads
+rows only to name a wrong count, a broken line or a token.  Cube files: header
+`cubes d n m`, then for each cube n^(d-1) lines of n symbols, last coordinate
+fastest; a parse converts the body about 64 KiB of text at a time into one
+array("I"), and each cube keeps its slice.  Both formats are LF-terminated with single
 spaces and no trailing whitespace, so identical objects always serialize to
 identical bytes; both writers join about 4,096 lines at a time, so no output
 holds a str per line.
@@ -22,6 +23,7 @@ from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, _check_symbo
 _CUBE_HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)")  # the first four tokens
 _SPACE = re.compile(r"\s")  # the whitespace str.split() splits at
 _CUBE_CHUNK = 1 << 16  # characters of cube body text split at a time
+_BLOCK_CHUNK = 1 << 16  # characters of block file text split into lines at a time
 
 
 class _Tokens(dict):
@@ -36,10 +38,17 @@ class _Tokens(dict):
 
 
 def _joined(header: str, width: int, rows) -> str:
-    """The header line, then one line of width symbols per row, 4,096 lines a join."""
-    row, rows, parts = " ".join(["%d"] * width) + "\n", iter(rows), [header + "\n"]
-    while chunk := "".join(map(row.__mod__, islice(rows, 4096))):
-        parts.append(chunk)
+    """The header line, then one line of width symbols per row, 4,096 lines a join.
+
+    The row template, width fields long, is built only once a row exists: a
+    header-only file may declare any width.
+    """
+    rows, parts = iter(rows), [header + "\n"]
+    for first in rows:  # runs at most once: the joins below take every other row
+        row = " ".join(["%d"] * width) + "\n"
+        parts.append(row % first)
+        while chunk := "".join(map(row.__mod__, islice(rows, 4096))):
+            parts.append(chunk)
     return "".join(parts)
 
 
@@ -48,31 +57,61 @@ def format_blocks(family: BlockFamily) -> str:
     return _joined(f"blocks {p.k} {p.n} {p.ell} {len(family.blocks)}", p.k, family.blocks)
 
 
+def _line_chunks(text: str):
+    """The non-blank lines of text, one list per cut of about _BLOCK_CHUNK characters.
+
+    Each cut ends just after a "\\n", so no line and no "\\r\\n" is split, and
+    splitlines reads every line as it would read the whole text.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK_CHUNK)
+        end = len(text) if cut < 0 else cut + 1
+        yield list(filter(str.strip, text[start:end].splitlines()))
+        start = end
+
+
+def _converted(chunks, k: int, count: int, memo: _Tokens) -> array | None:
+    """The k symbols of each of count lines in one array, or None on a wrong count or a break.
+
+    One cut's lines and tokens are held at a time; the lines are counted as
+    they come.
+    """
+    symbols, seen = array("I"), 0
+    for lines in chunks:
+        seen += len(lines)
+        tokens = (" ; ".join(lines) + " ;").split()  # a ";" marker ends each line
+        if len(tokens) != (k + 1) * len(lines):
+            return None
+        del tokens[k :: k + 1]  # the markers if each line holds k tokens, else one fails int()
+        try:
+            symbols.extend(map(memo.__getitem__, tokens))
+        except (ValueError, OverflowError):  # no int, or one outside 0..2^32-1
+            return None
+    return symbols if seen == count else None
+
+
 def parse_blocks(text: str) -> BlockFamily:
-    lines = list(filter(str.strip, text.splitlines()))
-    if not lines:
+    chunks = filter(None, _line_chunks(text))
+    lines = next(chunks, None)
+    if lines is None:
         raise ValueError("empty block file")
     header = lines[0].split()
     if len(header) != 5 or header[0] != "blocks":
         raise ValueError(f"bad block header: {lines[0]!r}")
     k, n, ell, count = (int(tok) for tok in header[1:])
-    if len(lines) - 1 != count:
-        raise ValueError(f"header says {count} blocks, file has {len(lines) - 1}")
     memo = _Tokens()
-    symbols = array("I")
-    for start in range(1, len(lines), 1024):  # one chunk's tokens are held at a time
-        chunk = lines[start : start + 1024]
-        tokens = (" ; ".join(chunk) + " ;").split()  # a ";" marker ends each line
-        if len(tokens) != (k + 1) * len(chunk):
-            break
-        del tokens[k :: k + 1]  # the markers if each line holds k tokens, else one fails int()
-        try:
-            symbols.extend(map(memo.__getitem__, tokens))
-        except (ValueError, OverflowError):  # no int, or one outside 0..2^32-1
-            break
-    else:
-        return BlockFamily._from_symbols(Params(k, n, ell), symbols, memo.values())
-    blocks = [tuple(map(memo.__getitem__, line.split())) for line in lines[1:]]
+    # as written, each of the count + 1 lines ends in one "\n"; any other file is
+    # counted before a line is converted, so a wrong count costs no conversion
+    if text.count("\n") == count + 1 or sum(map(len, _line_chunks(text))) == count + 1:
+        symbols = _converted(filter(None, chain([lines[1:]], chunks)), k, count, memo)
+        if symbols is not None:
+            return BlockFamily._from_symbols(Params(k, n, ell), symbols, memo.values())
+    # a wrong count or a broken line: read the file by rows, to name the count first
+    lines = list(filter(str.strip, text.splitlines()))[1:]
+    if len(lines) != count:
+        raise ValueError(f"header says {count} blocks, file has {len(lines)}")
+    blocks = [tuple(map(memo.__getitem__, line.split())) for line in lines]
     return BlockFamily(Params(k, n, ell), tuple(blocks))  # int() or this names the first break
 
 

@@ -13,20 +13,34 @@ then the value (Latin), the cube tables (orthogonal), or the whole lift
 (invertible; by the main theorem, exactness of the lift).  Witness rule:
 subsets in the order given, cells in row-major order, so a witness is the
 lexicographically first offending (subset, value tuple) whatever the row order.
+A large check (_SPLIT_CELLS) splits the subsets after the first into one
+contiguous run per CPU and forks a child for each run but the first (POSIX);
+the earliest failing run names the witness, so it does not depend on the split.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
 import sys
+import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import repeat
+from itertools import islice, repeat
+from math import comb
 from operator import setitem
+from typing import NoReturn
 
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
 from .core import _index_sets, check_size, lift_columns, unflatten_index
+
+# rows x subsets below which one process scans them all: under it a fork and
+# the children's own column packing cost about what the split saves (measured
+# on a 2-CPU host; (7, 49, 3) checks 117,649 rows x 35 subsets)
+_SPLIT_CELLS = 1 << 19
 
 
 def _projection_keys(column, n: int):
@@ -63,18 +77,9 @@ def _placed(rows, keys, subset, n: int) -> list | None:
     return None if None in placed else placed
 
 
-def _first_offense(keys, subsets, n: int, width: int, allowed: set[int]) -> Witness | None:
-    """First (subset, cell, count capped at 2) whose count is not in allowed, or None.
-
-    keys is _projection_keys over the rows; callers share it to pack once.
-    Every subset has `width` columns, and allowed always holds 1.  check_size
-    raises ValueError above core.SIZE_LIMIT before any subset is taken.
-    """
-    size = check_size(f"n^{width} = {n}^{width}", n, width)
-    if n == 1:  # each subset has one cell, hit by every row: the row count decides all
-        if (hits := min(len(keys((1,))), 2)) in allowed:
-            return None
-        return Witness(next(iter(subsets)), (1,) * width, hits)  # only a witness takes a set
+def _scan(keys, subsets, n: int, width: int, allowed: set[int]) -> Witness | None:
+    """The first offense in subsets, one subset after another (see _first_offense)."""
+    size = n**width
     allowed_bytes, repeats_allowed = bytes(allowed), 2 in allowed
     offset = (size - 1) // (n - 1)
     for subset in subsets:
@@ -94,6 +99,110 @@ def _first_offense(keys, subsets, n: int, width: int, allowed: set[int]) -> Witn
     return None
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _first_offense(keys, pool: int, n: int, width: int, allowed: set[int], lines=None):
+    """First Witness (subset, cell, count capped at 2) whose count is not in allowed, or None.
+
+    The subsets are the width-subsets of 1..pool in lexicographic order, or the
+    pool subsets `lines` in the order given.  keys is _projection_keys over the
+    rows; callers share it to pack once.  allowed always holds 1.  check_size
+    raises ValueError above core.SIZE_LIMIT before any subset is taken.
+    Past the first subset, once rows x subsets reaches _SPLIT_CELLS, the rest
+    are split into one contiguous run per CPU (see _split).
+    """
+    check_size(f"n^{width} = {n}^{width}", n, width)
+    subsets = iter(_index_sets(pool, width) if lines is None else lines)
+    rows = len(keys((1,)))  # every column holds one field per row
+    if n == 1:  # each subset has one cell, hit by every row: the row count decides all
+        if (hits := min(rows, 2)) in allowed:
+            return None
+        return Witness(next(subsets), (1,) * width, hits)  # only a witness takes a set
+    witness = _scan(keys, islice(subsets, 1), n, width, allowed)
+    if witness is not None:  # most damaged inputs fail here, before any fork
+        return witness
+    rest = (comb(pool, width) if lines is None else pool) - 1
+    workers = min(_cpus(), rest)
+    if (
+        rows * (rest + 1) < _SPLIT_CELLS
+        or workers < 2
+        or rest > sys.maxsize  # islice's bound; no run gets near it
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1  # a fork copies one thread, maybe mid-lock
+    ):
+        return _scan(keys, subsets, n, width, allowed)
+    return _split(keys, subsets, rest, workers, n, width, allowed)
+
+
+def _split(keys, subsets, rest: int, workers: int, n: int, width: int, allowed) -> Witness | None:
+    """_scan over the next rest subsets, cut into workers contiguous runs.
+
+    This process scans the first run; each later run goes to a forked child,
+    which replies through a pipe and leaves by os._exit, so it never unwinds
+    into the caller or flushes stdio.  Replies are read in run order, so the
+    witness is the earliest failing run's, as a single scan would find it.  A
+    run whose fork failed, or whose child died before replying, is scanned
+    here.  Every child is killed and reaped before this returns or raises.
+    """
+    bounds = [rest * i // workers for i in range(workers + 1)]
+    later = list(zip(bounds[1:], bounds[2:]))  # (start, stop) of each run after the first
+    children = []  # (pid, read end of its pipe), in run order
+    try:
+        for start, stop in later:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this run and the later ones are scanned here
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _child(write, keys, islice(subsets, start, stop), n, width, allowed)
+            os.close(write)
+            children.append((pid, read))
+        witness, done = _scan(keys, islice(subsets, bounds[1]), n, width, allowed), bounds[1]
+        for run, (start, stop) in enumerate(later):
+            if witness is not None:
+                break
+            reply = os.read(children[run][1], 4096) if run < len(children) else b""
+            if not reply.endswith(b"\n"):  # no child, or it died before replying
+                witness = _scan(keys, islice(subsets, start - done, stop - done), n, width, allowed)
+                done = stop
+            elif reply != b"\n":  # multiplicity, index set, values
+                multiplicity, *cells = map(int, reply.split())
+                witness = Witness(tuple(cells[:width]), tuple(cells[width:]), multiplicity)
+        return witness
+    finally:
+        for pid, read in children:
+            os.kill(pid, signal.SIGKILL)  # a child that replied has exited already
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def _child(write: int, keys, subsets, n: int, width: int, allowed) -> NoReturn:
+    """A forked child's whole life: scan its run, write one reply line, os._exit.
+
+    The reply is "\\n" if the run passes, else the witness's multiplicity, index
+    set and values as one line of ints.  It is under PIPE_BUF bytes, since width
+    is at most 20 (n^width passed check_size with n >= 2), so one write puts
+    all of it in the pipe at once and one read takes it.
+    """
+    status = 1
+    try:
+        gc.disable()  # a collection would write to every tracked object's page
+        w = _scan(keys, subsets, n, width, allowed)
+        fields = () if w is None else (w.multiplicity, *w.index_set, *w.values)
+        os.write(write, " ".join(map(str, fields)).encode() + b"\n")
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _block_keys(family: BlockFamily):
     """The key function over a family's block positions."""
     return _projection_keys(family._column, family.params.n)
@@ -106,7 +215,7 @@ def _report(witness: Witness | None, verdict: Verdict = Verdict.FAIL) -> VerifyR
 def is_l_extendable(family: BlockFamily) -> VerifyReport:
     """Exact iff every value tuple at every index set is hit by exactly one block."""
     p = family.params
-    return _report(_first_offense(_block_keys(family), _index_sets(p.k, p.ell), p.n, p.ell, {1}))
+    return _report(_first_offense(_block_keys(family), p.k, p.n, p.ell, {1}))
 
 
 def is_decomposition(family: BlockFamily) -> VerifyReport:
@@ -121,11 +230,11 @@ def is_covering(family: BlockFamily) -> VerifyReport:
     first multiply-covered pair as an explanatory witness.
     """
     p, keys = family.params, _block_keys(family)  # both calls share each column's packing
-    first = _first_offense(keys, _index_sets(p.k, p.ell), p.n, p.ell, {1})
+    first = _first_offense(keys, p.k, p.n, p.ell, {1})
     if first is None or first.multiplicity == 0:  # Exact, or the first MISS
         return _report(first)
     # the first DUP; by pigeonhole no index set before its own has a MISS
-    miss = _first_offense(keys, _index_sets(p.k, p.ell), p.n, p.ell, {1, 2})
+    miss = _first_offense(keys, p.k, p.n, p.ell, {1, 2})
     return _report(miss) if miss is not None else _report(first, Verdict.COVER_ONLY)
 
 
@@ -143,7 +252,7 @@ def is_latin(cube: LatinCube) -> LatinCheck:
     d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
     lines = (tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1))
     keys = _projection_keys(lift_columns([cube._table()], d, cube.n), cube.n)
-    witness = _first_offense(keys, lines, cube.n, d, {1})
+    witness = _first_offense(keys, d, cube.n, d, {1}, lines)
     if witness is None:
         return LatinCheck(True)
     # line a skips grid column a + 1, so position a is the first not holding a + 1
@@ -172,7 +281,7 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
     if m < d:
         raise ValueError(f"orthogonality needs at least d={d} cubes, got {m}")
     keys = _projection_keys(lift_columns([c._table() for c in cube_set.cubes], d, n), n)
-    w = _first_offense(keys, _index_sets(m, d), n, d, {1})
+    w = _first_offense(keys, m, n, d, {1})
     if w is None:
         return OrthogonalityCheck(True)
     return OrthogonalityCheck(False, w.index_set, w.values, w.multiplicity)
@@ -182,5 +291,4 @@ def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     """Exact iff the lifted family (cube values, then coordinates) is extendable."""
     d, n = cube_set.d, cube_set.n
     keys = _projection_keys(lift_columns([c._table() for c in cube_set.cubes], d, n), n)
-    subsets = _index_sets(len(cube_set.cubes) + d, d)
-    return _report(_first_offense(keys, subsets, n, d, {1}))
+    return _report(_first_offense(keys, len(cube_set.cubes) + d, n, d, {1}))

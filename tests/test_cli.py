@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from test_differential import damaged_text
 
 import partite
+from partite import formats
 from partite import (
     BlockFamily,
     CubeSet,
@@ -575,6 +576,49 @@ def test_block_writer_holds_no_str_per_line():
         tracemalloc.stop()
     assert text.count("\n") == 49**3 + 1
     assert peak < 7 * 2**20
+
+
+def test_block_parse_holds_no_str_per_line():
+    # parse_blocks splits about 64 KiB of text into lines at a time; a str per
+    # line of the (7,49,3) file took the peak to 12.6 MiB
+    text = format_blocks(construct(7, 49, 3))
+    tracemalloc.start()
+    try:
+        family = parse_blocks(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family.blocks) == 49**3
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_block_file_with_a_wrong_count_converts_no_token(monkeypatch, extra):
+    # a file as written has one "\n" per line, so a header count that disagrees
+    # is checked against the lines before any token is converted
+    lines = format_blocks(construct(5, 25, 3)).split("\n")
+    text = "\n".join([f"blocks 5 25 3 {25**3 + extra}"] + lines[1:])
+
+    def no_conversion(memo, token):
+        raise AssertionError(f"converted {token!r}")
+
+    monkeypatch.setattr(formats._Tokens, "__missing__", no_conversion)
+    with pytest.raises(ValueError, match=f"header says {25**3 + extra} blocks, file has {25**3}$"):
+        parse_blocks(text)
+
+
+@pytest.mark.parametrize("n", [3_000_000, 10**30])
+def test_header_only_cube_file_writes_without_a_row_template(n):
+    # the writer's row template has n fields, so it is built only for a row:
+    # at 10^30 it raised OverflowError, and 3,000,000 took 31.5 MiB
+    tracemalloc.start()
+    try:
+        text = format_cubes(parse_cubes(f"cubes 1 {n} 0"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == f"cubes 1 {n} 0\n"
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,7 @@ body, which pruned each child on entry, at random budgets on the same
 instances: both must run out or settle alike, so they visit the same tree.
 """
 
+import os
 import re
 from functools import reduce
 from itertools import combinations
@@ -92,10 +93,11 @@ from partite import (
     mols_to_blocks,
     product_decomposition,
     vandermonde_blocks,
+    verify,
 )
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from partite.construct import is_prime
-from partite.formats import _CUBE_CHUNK
+from partite.formats import _BLOCK_CHUNK, _CUBE_CHUNK
 from test_cover import brute_force_minimum_cover
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)
@@ -253,6 +255,37 @@ def test_invertibility_matches_oracle_on_the_lift(cube_set):
     expected = first_projection_offense(lifted_family(cube_set))
     assert _triple(report.witness) == expected
     assert report.verdict is (Verdict.EXACT if expected is None else Verdict.FAIL)
+
+
+def _every_check(subject) -> list:
+    """Each check's result on a family, or on a cube set and each of its cubes.
+
+    After each call no child process may be left, reaped or not.
+    """
+    if isinstance(subject, BlockFamily):
+        calls = [is_l_extendable, is_covering]
+    else:
+        calls = [is_latin] * len(subject.cubes) + [is_mutually_invertible]
+        calls += [are_mutually_orthogonal] * (len(subject.cubes) >= subject.d)
+    results = []
+    for i, call in enumerate(calls):
+        results.append(call(subject.cubes[i] if call is is_latin else subject))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return results
+
+
+@settings(EXAMPLES, max_examples=100)
+@given(st.one_of(families, late_damaged_families(), cube_sets()))
+def test_split_checks_match_the_serial_scan(subject):
+    # every check forks past its first index set, for up to two children, so
+    # late-damaged families and swapped cubes put witnesses in a child's run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_SPLIT_CELLS", float("inf"))
+        serial = _every_check(subject)
+        patch.setattr(verify, "_SPLIT_CELLS", 0)
+        patch.setattr(verify, "_cpus", lambda: 3)
+        assert _every_check(subject) == serial
 
 
 @st.composite
@@ -508,6 +541,42 @@ def test_damage_across_the_chunk_seam(kind, layout, damage, where):
     expected = _outcome(reference, text)
     assert _outcome(parse, text) == expected
     assert isinstance(expected, str) is (damage is not None)
+
+
+# a (5,25,3) block file, 206 KB, splits into lines in four cuts of about
+# 64 KiB; each cut ends just after a line break
+LINE_CUT_TEXT = format_blocks(construct(5, 25, 3))
+
+
+def _first_token(text: str, at: int, new: str) -> str:
+    """text with the token starting at offset at written as new."""
+    return text[:at] + new + text[re.compile(r"\S+").match(text, at).end() :]
+
+
+LINE_CUT_DAMAGES = {  # each at the line before the first cut or the line after it
+    "x": lambda text, cut: _first_token(text, text.rindex("\n", 0, cut - 1) + 1, "x"),
+    "n+1": lambda text, cut: _first_token(text, cut, "26"),
+    "-3": lambda text, cut: _first_token(text, cut, "-3"),
+    "blank lines": lambda text, cut: text[:cut] + " \n\n\t\n" + text[cut:],
+    "lone CR": lambda text, cut: text[: cut - 1] + "\r" + text[cut:],
+    "line dropped": lambda text, cut: text[:cut] + text[text.index("\n", cut) + 1 :],
+    "line blanked": lambda text, cut: text[:cut] + text[text.index("\n", cut) :],  # same "\n"s
+    "line repeated": lambda text, cut: text[: text.index("\n", cut) + 1] + text[cut:],
+}
+REFUSED_AT_A_CUT = {"x", "n+1", "-3", "line dropped", "line blanked", "line repeated"}
+
+
+@pytest.mark.parametrize("layout", ["lf", "crlf", "tabs"])
+@pytest.mark.parametrize("damage", [None, *LINE_CUT_DAMAGES])
+def test_block_damage_at_a_line_cut(layout, damage):
+    text = LAYOUTS[layout](LINE_CUT_TEXT)
+    cut = text.index("\n", _BLOCK_CHUNK) + 1  # where the first cut ends
+    assert len(text) > 3 * _BLOCK_CHUNK
+    if damage is not None:
+        text = LINE_CUT_DAMAGES[damage](text, cut)
+    expected = _outcome(parse_blocks_reference, text)
+    assert _outcome(parse_blocks, text) == expected
+    assert isinstance(expected, str) is (damage in REFUSED_AT_A_CUT)
 
 
 @st.composite

@@ -1,4 +1,9 @@
+import os
 import random
+import re
+import signal
+import threading
+import time
 from collections import Counter
 from itertools import combinations, product
 
@@ -25,6 +30,7 @@ from partite import (
     lift_cubes,
     orthogonal_not_invertible_cubes,
     vandermonde_blocks,
+    verify,
 )
 
 
@@ -296,3 +302,160 @@ def test_witness_at_a_key_above_16_bits_matches_a_counter_oracle(wide_family):
     assert miss == ((1, 3), (257, 257), 0)
     assert cover.verdict is Verdict.FAIL
     assert (cover.witness.index_set, cover.witness.values, cover.witness.multiplicity) == miss
+
+
+# The split kernel: past its first index set a check over rows x sets cells at
+# or above verify._SPLIT_CELLS forks one child per CPU but the first.  With the
+# threshold at 0 and three CPUs, C(5, 2) = 10 sets run as (1, 2) first, then
+# (1, 3) to (1, 5) here, (2, 3) to (2, 5) in the first child and (3, 4) to
+# (4, 5) in the second.
+@pytest.fixture
+def split(monkeypatch):
+    monkeypatch.setattr(verify, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(verify, "_cpus", lambda: 3)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def picked_columns(*picks):
+    """construct(4, 5, 2) with its columns picked (0-based), so equal picks share a column.
+
+    The 25 rows stay exact at every pair of distinct columns; a pair that picks
+    one column twice has only the 5 cells (x, x) hit, 5 times each.
+    """
+    blocks = tuple(tuple(block[c] for c in picks) for block in construct(4, 5, 2).blocks)
+    return BlockFamily(Params(len(picks), 5, 2), blocks)
+
+
+def serial_witness(family):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_SPLIT_CELLS", float("inf"))
+        return is_l_extendable(family).witness
+
+
+@pytest.mark.parametrize("picks, index_set", [
+    ((0, 1, 2, 3, 3), (4, 5)),  # only the second child's run fails
+    ((0, 1, 1, 2, 2), (2, 3)),  # both children's runs fail: the first child's names it
+    ((0, 1, 0, 2, 2), (1, 3)),  # this process's run fails, and the second child's
+    ((0, 1, 1, 1, 0), (1, 5)),  # all three runs fail
+])
+def test_split_witness_is_the_earliest_runs(split, capfd, picks, index_set):
+    family = picked_columns(*picks)
+    witness = is_l_extendable(family).witness
+    assert_no_child_left()
+    assert witness == serial_witness(family)
+    assert (witness.index_set, witness.values, witness.multiplicity) == (index_set, (1, 1), 2)
+    assert capfd.readouterr() == ("", "")  # children leave by os._exit, never flushing stdio
+
+
+def test_split_exact_family_is_exact(split, capfd):
+    assert is_l_extendable(construct(5, 5, 2)).verdict is Verdict.EXACT
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def raising_keys(family, bad):
+    keys = verify._block_keys(family)
+
+    def checked(subset):
+        if subset == bad:
+            raise RuntimeError(f"no keys at {subset}")
+        return keys(subset)
+
+    return checked
+
+
+# an exception in this process's run, or in a child's run, which the child
+# abandons silently and this process then scans itself, raising the same error
+@pytest.mark.parametrize("bad", [(1, 3), (3, 5)])
+def test_split_exception_reaps_every_child(split, capfd, bad):
+    keys = raising_keys(construct(5, 5, 2), bad)
+    with pytest.raises(RuntimeError, match=re.escape(f"no keys at {bad}")):
+        verify._first_offense(keys, 5, 5, 2, {1})
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_split_scans_a_dead_childs_run_itself(split):
+    family, parent = picked_columns(0, 1, 1, 2, 2), os.getpid()
+    keys = verify._block_keys(family)
+
+    def dying(subset):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return keys(subset)
+
+    witness = verify._first_offense(dying, 5, 5, 2, {1})
+    assert_no_child_left()
+    assert witness == serial_witness(family)
+
+
+def test_split_kills_later_children_once_a_run_fails(split):
+    family, parent = picked_columns(0, 1, 0, 2, 2), os.getpid()  # fails in this process's run
+    keys = verify._block_keys(family)
+
+    def slow_in_children(subset):
+        if os.getpid() != parent:
+            time.sleep(10)
+        return keys(subset)
+
+    start = time.perf_counter()
+    witness = verify._first_offense(slow_in_children, 5, 5, 2, {1})
+    assert time.perf_counter() - start < 5
+    assert witness == serial_witness(family)
+    assert_no_child_left()
+
+
+def refuse_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+
+
+def test_one_cpu_stays_serial(monkeypatch):
+    monkeypatch.setattr(verify, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    refuse_fork(monkeypatch)
+    family = picked_columns(0, 1, 1, 2, 2)
+    assert is_l_extendable(family).witness.index_set == (2, 3)
+
+
+def test_a_second_thread_keeps_the_check_serial(split, monkeypatch):
+    refuse_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert is_l_extendable(construct(5, 5, 2)).verdict is Verdict.EXACT
+    finally:
+        release.set()
+        thread.join()
+
+
+def test_small_checks_stay_serial(monkeypatch):
+    # 25 rows x 10 sets is far below the threshold, whatever the host
+    refuse_fork(monkeypatch)
+    assert is_l_extendable(picked_columns(0, 1, 2, 3, 3)).witness.index_set == (4, 5)
+
+
+def test_first_index_set_fails_before_any_fork(split, monkeypatch):
+    refuse_fork(monkeypatch)
+    assert is_l_extendable(picked_columns(0, 0, 1, 2, 3)).witness.index_set == (1, 2)
+
+
+def test_failed_fork_leaves_its_run_to_this_process(split, monkeypatch):
+    forks, real_fork = [], os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    family = picked_columns(0, 1, 2, 3, 3)  # fails only in the second child's run, never forked
+    assert is_l_extendable(family).witness == serial_witness(family)
+    assert len(forks) == 2
+    assert_no_child_left()
