@@ -6,7 +6,9 @@ time, counts them and converts them into one row-major array("I"), and reads
 rows only to name a wrong count, a broken line or a token.  Cube files: header
 `cubes d n m`, then for each cube n^(d-1) lines of n symbols, last coordinate
 fastest; a parse converts the body about 64 KiB of text at a time into one
-array("I"), and each cube keeps its slice.  Both formats are LF-terminated with single
+array("I"), and each cube keeps its slice.  From _SPLIT_CHARS characters on,
+either body is cut into one span per CPU, each parsed by its own process
+(_runs.in_runs).  Both formats are LF-terminated with single
 spaces and no trailing whitespace, so identical objects always serialize to
 identical bytes; both writers join about 4,096 lines at a time, so no output
 holds a str per line.
@@ -17,13 +19,19 @@ from __future__ import annotations
 import re
 from array import array
 from itertools import chain, islice
+from operator import not_
 
+from ._runs import in_runs
 from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, _check_symbols, check_size
 
 _CUBE_HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)")  # the first four tokens
 _SPACE = re.compile(r"\s")  # the whitespace str.split() splits at
+_NEWLINE = re.compile("\n")
 _CUBE_CHUNK = 1 << 16  # characters of cube body text split at a time
 _BLOCK_CHUNK = 1 << 16  # characters of block file text split into lines at a time
+# characters below which one process parses a text: a fork and its reply cost
+# about what a split saves (2-CPU host; the (7,49,3) block file is 2.3 MB)
+_SPLIT_CHARS = 1 << 18
 
 
 class _Tokens(dict):
@@ -57,27 +65,47 @@ def format_blocks(family: BlockFamily) -> str:
     return _joined(f"blocks {p.k} {p.n} {p.ell} {len(family.blocks)}", p.k, family.blocks)
 
 
-def _line_chunks(text: str):
-    """The non-blank lines of text, one list per cut of about _BLOCK_CHUNK characters.
+def _past(cut: re.Pattern, text: str, at: int) -> int:
+    """The offset just past cut's first match at or after at, or len(text)."""
+    match = cut.search(text, at)
+    return match.end() if match else len(text)
 
-    Each cut ends just after a "\\n", so no line and no "\\r\\n" is split, and
-    splitlines reads every line as it would read the whole text.
-    """
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _BLOCK_CHUNK)
-        end = len(text) if cut < 0 else cut + 1
-        yield list(filter(str.strip, text[start:end].splitlines()))
+
+def _pieces(text: str, start: int, stop: int, cut: re.Pattern, size: int):
+    """text[start:stop] in pieces of about size characters, each ending just past a cut."""
+    while start < stop:
+        end = min(_past(cut, text, start + size), stop)
+        yield text[start:end]
         start = end
 
 
-def _converted(chunks, k: int, count: int, memo: _Tokens) -> array | None:
-    """The k symbols of each of count lines in one array, or None on a wrong count or a break.
+def _in_spans(text: str, start: int, cut: re.Pattern, out: array, work) -> list[tuple]:
+    """in_runs of work(begin, end) on text[start:] in spans, one per CPU from _SPLIT_CHARS."""
 
-    One cut's lines and tokens are held at a time; the lines are counted as
-    they come.
+    def edge(j: int, w: int) -> int:
+        return start if j == 0 else _past(cut, text, max(start, len(text) * j // w))
+
+    most = 1 if len(text) < _SPLIT_CHARS else len(text)  # in_runs caps it at the CPUs
+    return in_runs(most, lambda i, w: work(edge(i, w), edge(i + 1, w)), not_, out)
+
+
+def _bounds(memo: _Tokens) -> tuple[int, int]:
+    """memo's least and greatest value, or (1, 1), which every range 1..n holds."""
+    return min(memo.values(), default=1), max(memo.values(), default=1)
+
+
+def _line_chunks(text: str, start: int = 0, stop: int | None = None, size: int = _BLOCK_CHUNK):
+    """The non-blank lines of text[start:stop], one list per cut of about size characters.
+
+    Each cut ends just after a "\\n", so splitlines reads the lines as in the whole text.
     """
-    symbols, seen = array("I"), 0
+    for piece in _pieces(text, start, len(text) if stop is None else stop, _NEWLINE, size):
+        yield list(filter(str.strip, piece.splitlines()))
+
+
+def _converted(chunks, k: int, symbols: array, memo: _Tokens) -> int | None:
+    """The count of lines, their k symbols each appended to symbols; None on a broken line."""
+    seen = 0
     for lines in chunks:
         seen += len(lines)
         tokens = (" ; ".join(lines) + " ;").split()  # a ";" marker ends each line
@@ -88,25 +116,32 @@ def _converted(chunks, k: int, count: int, memo: _Tokens) -> array | None:
             symbols.extend(map(memo.__getitem__, tokens))
         except (ValueError, OverflowError):  # no int, or one outside 0..2^32-1
             return None
-    return symbols if seen == count else None
+    return seen
 
 
 def parse_blocks(text: str) -> BlockFamily:
-    chunks = filter(None, _line_chunks(text))
-    lines = next(chunks, None)
+    lines = next(filter(None, _line_chunks(text, size=0)), None)  # a "\n" at a time
     if lines is None:
         raise ValueError("empty block file")
     header = lines[0].split()
     if len(header) != 5 or header[0] != "blocks":
         raise ValueError(f"bad block header: {lines[0]!r}")
     k, n, ell, count = (int(tok) for tok in header[1:])
-    memo = _Tokens()
+    memo, symbols = _Tokens(), array("I")
     # as written, each of the count + 1 lines ends in one "\n"; any other file is
     # counted before a line is converted, so a wrong count costs no conversion
     if text.count("\n") == count + 1 or sum(map(len, _line_chunks(text))) == count + 1:
-        symbols = _converted(filter(None, chain([lines[1:]], chunks)), k, count, memo)
-        if symbols is not None:
-            return BlockFamily._from_symbols(Params(k, n, ell), symbols, memo.values())
+        head = text.index(lines[0]) + len(lines[0])  # the body starts at the header's line end
+
+        def convert(start: int, stop: int) -> tuple:
+            """text[start:stop]'s line count, then the least and greatest symbol so far; or ()."""
+            seen = _converted(filter(None, _line_chunks(text, start, stop)), k, symbols, memo)
+            return () if seen is None else (seen, *_bounds(memo))
+
+        spans = _in_spans(text, head, _NEWLINE, symbols, convert)
+        if all(spans) and sum(s[0] for s in spans) == count:
+            distinct = [v for s in spans for v in s[1:]]
+            return BlockFamily._from_symbols(Params(k, n, ell), symbols, distinct)
     # a wrong count or a broken line: read the file by rows, to name the count first
     lines = list(filter(str.strip, text.splitlines()))[1:]
     if len(lines) != count:
@@ -130,20 +165,24 @@ def parse_cubes(text: str) -> CubeSet:
         raise ValueError(f"bad cube header: negative value in {' '.join(header.groups())!r}")
     CubeSet(d, n, ())  # the header's geometry, before its value count
     expected = check_size(f"m*n^d = {m}*{n}^{d}", n, d, factor=m)
-    memo, values, start = _Tokens(), array("I"), header.end()
+    memo, values = _Tokens(), array("I")
+
+    def convert(start: int, stop: int) -> tuple[int, int]:
+        """The least and greatest value so far: never (), so no span ends the runs early."""
+        for piece in _pieces(text, start, stop, _SPACE, _CUBE_CHUNK):
+            values.extend(map(memo.__getitem__, piece.split()))
+        return _bounds(memo)
+
     try:
-        while start < len(text):  # cut after a whitespace character, so no token is split
-            cut = _SPACE.search(text, start + _CUBE_CHUNK)
-            end = cut.end() if cut else len(text)
-            values.extend(map(memo.__getitem__, text[start:end].split()))
-            start = end
+        distinct = [v for s in _in_spans(text, header.end(), _SPACE, values, convert) for v in s]
     except OverflowError:  # a value outside 0..2^32-1; int() may yet fail on a later token
         values = list(map(memo.__getitem__, text[header.end() :].split()))
+        distinct = memo.values()
     if len(values) != expected:
         raise ValueError(
             f"cube file has {len(values)} values, expected m*n^d = {expected}"
         )
-    _check_symbols(values, n, memo.values())  # the whole file's range, decided once
+    _check_symbols(values, n, distinct)  # the whole file's range, decided once
     volume = expected // m if m else 0
     members = tuple(
         LatinCube._from_symbols(d, n, values[i * volume : (i + 1) * volume]) for i in range(m)

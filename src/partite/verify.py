@@ -20,11 +20,7 @@ the earliest failing run names the witness, so it does not depend on the split.
 
 from __future__ import annotations
 
-import gc
-import os
-import signal
 import sys
-import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -32,8 +28,8 @@ from functools import cache, reduce
 from itertools import islice, repeat
 from math import comb
 from operator import setitem
-from typing import NoReturn
 
+from ._runs import in_runs
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
 from .core import _index_sets, check_size, lift_columns, unflatten_index
 
@@ -99,13 +95,6 @@ def _scan(keys, subsets, n: int, width: int, allowed: set[int]) -> Witness | Non
     return None
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _first_offense(keys, pool: int, n: int, width: int, allowed: set[int], lines=None):
     """First Witness (subset, cell, count capped at 2) whose count is not in allowed, or None.
 
@@ -114,7 +103,7 @@ def _first_offense(keys, pool: int, n: int, width: int, allowed: set[int], lines
     rows; callers share it to pack once.  allowed always holds 1.  check_size
     raises ValueError above core.SIZE_LIMIT before any subset is taken.
     Past the first subset, once rows x subsets reaches _SPLIT_CELLS, the rest
-    are split into one contiguous run per CPU (see _split).
+    are split into one contiguous run per CPU (see _runs.in_runs).
     """
     check_size(f"n^{width} = {n}^{width}", n, width)
     subsets = iter(_index_sets(pool, width) if lines is None else lines)
@@ -126,81 +115,22 @@ def _first_offense(keys, pool: int, n: int, width: int, allowed: set[int], lines
     witness = _scan(keys, islice(subsets, 1), n, width, allowed)
     if witness is not None:  # most damaged inputs fail here, before any fork
         return witness
-    rest = (comb(pool, width) if lines is None else pool) - 1
-    workers = min(_cpus(), rest)
-    if (
-        rows * (rest + 1) < _SPLIT_CELLS
-        or workers < 2
-        or rest > sys.maxsize  # islice's bound; no run gets near it
-        or not hasattr(os, "fork")
-        or threading.active_count() > 1  # a fork copies one thread, maybe mid-lock
-    ):
-        return _scan(keys, subsets, n, width, allowed)
-    return _split(keys, subsets, rest, workers, n, width, allowed)
+    rest, done = (comb(pool, width) if lines is None else pool) - 1, 0
 
+    def run(i: int, w: int) -> tuple:
+        """Run i of w's first offense as (multiplicity, *index set, *values), or ()."""
+        nonlocal done  # the subsets this process has taken past the first; runs come in order
+        start, stop = rest * i // w, rest * (i + 1) // w
+        taken = islice(subsets, start - done, None if stop == rest else stop - done)
+        done, found = stop, _scan(keys, taken, n, width, allowed)
+        return () if found is None else (found.multiplicity, *found.index_set, *found.values)
 
-def _split(keys, subsets, rest: int, workers: int, n: int, width: int, allowed) -> Witness | None:
-    """_scan over the next rest subsets, cut into workers contiguous runs.
-
-    This process scans the first run; each later run goes to a forked child,
-    which replies through a pipe and leaves by os._exit, so it never unwinds
-    into the caller or flushes stdio.  Replies are read in run order, so the
-    witness is the earliest failing run's, as a single scan would find it.  A
-    run whose fork failed, or whose child died before replying, is scanned
-    here.  Every child is killed and reaped before this returns or raises.
-    """
-    bounds = [rest * i // workers for i in range(workers + 1)]
-    later = list(zip(bounds[1:], bounds[2:]))  # (start, stop) of each run after the first
-    children = []  # (pid, read end of its pipe), in run order
-    try:
-        for start, stop in later:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this run and the later ones are scanned here
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:
-                _child(write, keys, islice(subsets, start, stop), n, width, allowed)
-            os.close(write)
-            children.append((pid, read))
-        witness, done = _scan(keys, islice(subsets, bounds[1]), n, width, allowed), bounds[1]
-        for run, (start, stop) in enumerate(later):
-            if witness is not None:
-                break
-            reply = os.read(children[run][1], 4096) if run < len(children) else b""
-            if not reply.endswith(b"\n"):  # no child, or it died before replying
-                witness = _scan(keys, islice(subsets, start - done, stop - done), n, width, allowed)
-                done = stop
-            elif reply != b"\n":  # multiplicity, index set, values
-                multiplicity, *cells = map(int, reply.split())
-                witness = Witness(tuple(cells[:width]), tuple(cells[width:]), multiplicity)
-        return witness
-    finally:
-        for pid, read in children:
-            os.kill(pid, signal.SIGKILL)  # a child that replied has exited already
-            os.waitpid(pid, 0)
-            os.close(read)
-
-
-def _child(write: int, keys, subsets, n: int, width: int, allowed) -> NoReturn:
-    """A forked child's whole life: scan its run, write one reply line, os._exit.
-
-    The reply is "\\n" if the run passes, else the witness's multiplicity, index
-    set and values as one line of ints.  It is under PIPE_BUF bytes, since width
-    is at most 20 (n^width passed check_size with n >= 2), so one write puts
-    all of it in the pipe at once and one read takes it.
-    """
-    status = 1
-    try:
-        gc.disable()  # a collection would write to every tracked object's page
-        w = _scan(keys, subsets, n, width, allowed)
-        fields = () if w is None else (w.multiplicity, *w.index_set, *w.values)
-        os.write(write, " ".join(map(str, fields)).encode() + b"\n")
-        status = 0
-    finally:
-        os._exit(status)
+    # rest > sys.maxsize is islice's bound; no run gets near it
+    most = 1 if rows * (rest + 1) < _SPLIT_CELLS or rest > sys.maxsize else rest
+    fields = in_runs(most, run, bool)[-1]  # the earliest failing run names the witness
+    if not fields:
+        return None
+    return Witness(tuple(fields[1 : width + 1]), tuple(fields[width + 1 :]), fields[0])
 
 
 def _block_keys(family: BlockFamily):

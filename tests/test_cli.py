@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_differential import damaged_text
 
 import partite
-from partite import formats
+from partite import _runs, formats
 from partite import (
     BlockFamily,
     CubeSet,
@@ -590,6 +590,16 @@ def test_block_parse_holds_no_str_per_line():
         tracemalloc.stop()
     assert len(family.blocks) == 49**3
     assert peak < 8 * 2**20
+
+
+# with the parse split across two processes, even on one CPU, the child's
+# items stream into this process's one array: a joined reply took 8.39 MiB
+@pytest.mark.parametrize("test", [test_block_parse_holds_no_str_per_line,
+                                  test_cube_file_check_builds_no_tuples])
+def test_split_parse_streams_the_reply(monkeypatch, test):
+    monkeypatch.setattr(_runs, "_cpus", lambda: 2)
+    monkeypatch.setattr(formats, "_SPLIT_CHARS", 0)
+    test()
 
 
 @pytest.mark.parametrize("extra", [-1, 1])

@@ -95,6 +95,7 @@ from partite import (
     vandermonde_blocks,
     verify,
 )
+from partite import _runs, formats
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from partite.construct import is_prime
 from partite.formats import _BLOCK_CHUNK, _CUBE_CHUNK
@@ -284,7 +285,7 @@ def test_split_checks_match_the_serial_scan(subject):
         patch.setattr(verify, "_SPLIT_CELLS", float("inf"))
         serial = _every_check(subject)
         patch.setattr(verify, "_SPLIT_CELLS", 0)
-        patch.setattr(verify, "_cpus", lambda: 3)
+        patch.setattr(_runs, "_cpus", lambda: 3)
         assert _every_check(subject) == serial
 
 
@@ -577,6 +578,77 @@ def test_block_damage_at_a_line_cut(layout, damage):
     expected = _outcome(parse_blocks_reference, text)
     assert _outcome(parse_blocks, text) == expected
     assert isinstance(expected, str) is (damage in REFUSED_AT_A_CUT)
+
+
+# The split parses: with the threshold at 0 and three CPUs a body is cut into
+# three spans at about a third and two thirds of the text (blocks just after a
+# "\n", cubes just after whitespace), and children parse the later two.  A
+# damage that changes the text's length can move a cut by a line or a token,
+# so each damage is placed at each cut and next to it.
+@pytest.fixture
+def split_parse(monkeypatch):
+    monkeypatch.setattr(formats, "_SPLIT_CHARS", 0)
+    monkeypatch.setattr(_runs, "_cpus", lambda: 3)
+
+
+def _split_outcome(parse, text, capfd):
+    outcome = _outcome(parse, text)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")  # children leave by os._exit, never flushing stdio
+    return outcome
+
+
+SPAN_BLOCKS = format_blocks(construct(4, 11, 3))  # 1,331 lines
+SPAN_CUBES = format_cubes(extract_cubes(construct(5, 11, 3)))  # 2,662 values
+
+
+@pytest.mark.parametrize("layout", ["lf", "crlf", "tabs"])
+@pytest.mark.parametrize("damage", [None, *LINE_CUT_DAMAGES])
+def test_block_damage_at_a_span_cut(split_parse, capfd, layout, damage):
+    text = LAYOUTS[layout](SPAN_BLOCKS)
+    for third in (1, 2):
+        cut = text.index("\n", len(text) * third // 3) + 1  # where span `third` starts
+        before, after = text.rindex("\n", 0, cut - 1) + 1, text.index("\n", cut) + 1
+        for at in (before, cut, after):
+            damaged = text if damage is None else LINE_CUT_DAMAGES[damage](text, at)
+            expected = _outcome(parse_blocks_reference, damaged)
+            assert _split_outcome(parse_blocks, damaged, capfd) == expected
+            assert isinstance(expected, str) is (damage in REFUSED_AT_A_CUT)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("damage", [None, "x", "12", "-3"])  # 12 is n + 1
+def test_cube_damage_at_a_span_cut(split_parse, capfd, layout, damage):
+    text = LAYOUTS[layout](SPAN_CUBES)
+    tokens = list(re.finditer(r"\S+", text))
+    for third in (1, 2):
+        cut = re.compile(r"\s").search(text, len(text) * third // 3).end()
+        last = max(i for i, token in enumerate(tokens) if token.end() < cut)  # span third - 1's
+        for i in range(last - 1, last + 3):
+            damaged = text
+            if damage is not None:
+                damaged = text[: tokens[i].start()] + damage + text[tokens[i].end() :]
+            expected = _outcome(parse_cubes_reference, damaged)
+            assert _split_outcome(parse_cubes, damaged, capfd) == expected
+            assert isinstance(expected, str) is (damage is not None)
+
+
+# a value past 2^32 - 1 makes the parse convert the body again whole, which
+# must still name the first bad token in file order, wherever the spans fall
+@pytest.mark.parametrize("middle, late", [
+    (str(2**32 + 1), "x"), ("x", str(2**32 + 1)), (str(2**32 + 1), "-3"),
+])
+def test_cube_overflow_in_a_child_span(split_parse, capfd, middle, late):
+    tokens = list(re.finditer(r"\S+", SPAN_CUBES))
+    at = [tokens[len(tokens) // 2], tokens[-2]]  # in the second span, and in the third
+    text = SPAN_CUBES
+    for token, new in [(at[1], late), (at[0], middle)]:  # the later token first
+        text = text[: token.start()] + new + text[token.end() :]
+    expected = _outcome(parse_cubes_reference, text)
+    assert _split_outcome(parse_cubes, text, capfd) == expected
+    assert expected in ("invalid literal for int() with base 10: 'x'",
+                        f"symbol {2**32 + 1} outside 1..11")
 
 
 @st.composite

@@ -32,6 +32,7 @@ from partite import (
     vandermonde_blocks,
     verify,
 )
+from partite import _runs
 
 
 def identity_family(k, n):
@@ -312,7 +313,7 @@ def test_witness_at_a_key_above_16_bits_matches_a_counter_oracle(wide_family):
 @pytest.fixture
 def split(monkeypatch):
     monkeypatch.setattr(verify, "_SPLIT_CELLS", 0)
-    monkeypatch.setattr(verify, "_cpus", lambda: 3)
+    monkeypatch.setattr(_runs, "_cpus", lambda: 3)
 
 
 def assert_no_child_left():
