@@ -13,7 +13,9 @@ two lines, a blank line, CRLF line ends, or a header number set to 0, -3,
 2^32 + 1 or 10^30.  Files of two parse chunks (1,331 block lines, an 82 KB
 cube file) get x, n+1 or -3 at the end of the first chunk, the start of the
 second, the last token, or both ends, with LF, CRLF, tab-separated and (cubes)
-one-line layouts.  A parsed cube system is compared with the built one.
+one-line layouts.  With the parses split across three processes, those
+damages are placed at each span cut, and a child's span holds 2^32 + 1.
+A parsed cube system is compared with the built one.
 `BlockFamily` validation is compared with its earlier per-block loop on
 blocks one symbol too short or too long and symbols one outside 1..n.
 The lift is compared with the point-by-point lift on any tables, Latin or
