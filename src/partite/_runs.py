@@ -17,6 +17,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _threads() -> int:
+    """Threads of this process: the OS's list where there is one, else threading's count."""
+    task = "/proc/self/task"  # threading does not count _thread or C-extension threads
+    return len(os.listdir(task)) if os.path.isdir(task) else threading.active_count()
+
+
 def in_runs(most: int, run, last, out: array | None = None) -> list[tuple]:
     """run(i, w) for i = 0, 1, ..., w - 1 in order, up to the first result r with last(r).
 
@@ -30,7 +36,7 @@ def in_runs(most: int, run, last, out: array | None = None) -> list[tuple]:
     process's own, in run order.  No child outlives the call.
     """
     out = array("I") if out is None else out
-    forks = most > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    forks = most > 1 and hasattr(os, "fork") and _threads() == 1
     w = min(most, _cpus()) if forks else 1
     children = []  # (pid, read end of its pipe), in run order
     try:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import cover, cubes, verify
 from .construct import construct
-from .core import CubeSet, Verdict, VerifyReport
+from .core import BlockFamily, CubeSet, Verdict, VerifyReport
 from .formats import format_blocks, format_cubes, format_witness, parse_blocks, parse_cubes
 
 
@@ -49,8 +49,7 @@ def _orthogonal_line(cube_set: CubeSet) -> str | None:
     return f"NONORTHOGONAL {kind} cubes {subset} : {values}"
 
 
-def _extract(text: str, positions: str | None) -> str:
-    family = parse_blocks(text)
+def _extract(family: BlockFamily, positions: str | None) -> str:
     chosen = None  # extraction's default: the last ell positions
     if positions is not None:
         try:
@@ -62,25 +61,28 @@ def _extract(text: str, positions: str | None) -> str:
 
 # Entries look their functions up when called, so that wrappers installed in
 # the module namespaces (the benchmark's spans) see every call.
-# command -> check -> (file text -> stdout failure line, or None when it holds)
+_BLOCKS, _CUBES = (lambda t: parse_blocks(t)), (lambda t: parse_cubes(t))
+
+# command -> check -> (file text -> parsed file, parsed file -> stdout failure
+# line, or None when it holds)
 _CHECKS = {
     "verify": {
-        "exact": lambda t: _witness_line(verify.is_decomposition(parse_blocks(t))),
-        "cover": lambda t: _witness_line(verify.is_covering(parse_blocks(t)), Verdict.COVER_ONLY),
+        "exact": (_BLOCKS, lambda f: _witness_line(verify.is_decomposition(f))),
+        "cover": (_BLOCKS, lambda f: _witness_line(verify.is_covering(f), Verdict.COVER_ONLY)),
     },
     "cubes": {
-        "latin": lambda t: _latin_line(parse_cubes(t)),
-        "orthogonal": lambda t: _orthogonal_line(parse_cubes(t)),
-        "invertible": lambda t: _witness_line(verify.is_mutually_invertible(parse_cubes(t))),
+        "latin": (_CUBES, _latin_line),
+        "orthogonal": (_CUBES, _orthogonal_line),
+        "invertible": (_CUBES, lambda c: _witness_line(verify.is_mutually_invertible(c))),
     },
 }
 
-# action -> (file text, --positions -> text of the output file)
+# action -> (file text -> parsed file, (parsed file, --positions) -> text of the output file)
 _ACTIONS = {
-    "extract": _extract,
-    "lift": lambda t, _: format_blocks(cubes.lift_cubes(parse_cubes(t))),
-    "mols2blocks": lambda t, _: format_blocks(cubes.mols_to_blocks(parse_cubes(t))),
-    "blocks2mols": lambda t, _: format_cubes(cubes.blocks_to_mols(parse_blocks(t))),
+    "extract": (_BLOCKS, _extract),
+    "lift": (_CUBES, lambda c, _: format_blocks(cubes.lift_cubes(c))),
+    "mols2blocks": (_CUBES, lambda c, _: format_blocks(cubes.mols_to_blocks(c))),
+    "blocks2mols": (_BLOCKS, lambda f, _: format_cubes(cubes.blocks_to_mols(f))),
 }
 
 
@@ -90,10 +92,12 @@ def _outcome(line: str | None) -> int:
 
 
 def _cmd_file(args: argparse.Namespace) -> int:
-    text = Path(args.input).read_text()
-    if args.check is not None:
-        return _outcome(_CHECKS[args.command][args.check](text))
-    Path(args.output).write_text(_ACTIONS[args.action](text, args.positions))
+    check = args.check is not None
+    parse, act = _CHECKS[args.command][args.check] if check else _ACTIONS[args.action]
+    parsed = parse(Path(args.input).read_text())  # the text is freed before act runs
+    if check:
+        return _outcome(act(parsed))
+    Path(args.output).write_text(act(parsed, args.positions))
     return 0
 
 

@@ -6,8 +6,8 @@ colours 1..ell, and any ell of the evaluation points determine the polynomial
 uniquely because the corresponding Vandermonde matrix is invertible mod a
 prime >= k.  Composite admissible orders are assembled from their prime
 factors with a Kronecker-style product on symbols.
-Every builder works in columns and crosses to rows once: one zip, one sort
-and one validated family.
+Every builder works in columns: `construct` scatters them once into one sorted
+row-major array (`verify._sorted_rows`), which backs one range-checked family.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from itertools import chain
 from math import prod
 
 from .core import BlockFamily, Params, check_size
+from .verify import _sorted_rows
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,14 @@ def construct(k: int, n: int, ell: int) -> BlockFamily:
     """Exact decomposition for any order n >= k with no prime factor below k.
 
     Folds the prime-order columns of n's prime factors left to right through
-    the symbol product (factors in increasing prime order), then zips and sorts
-    once (one linear pass where no product ran) into n^ell canonical blocks.
+    the symbol product (factors in increasing prime order), then scatters
+    them by their keys at colours 1..ell into n^ell canonical rows, which the
+    family holds as one row-major array.
 
     ell = 1 is accepted as a degenerate case for any k and n: the n constant
     blocks (a,..,a) hit every single vertex exactly once.  So is n = 1, which
     no prime divides: the single block (1,..,1) is all of G(k, 1).
     """
-    return BlockFamily(Params(k, n, ell), tuple(sorted(zip(*_exact_columns(k, n, ell)))))
+    params, columns = Params(k, n, ell), _exact_columns(k, n, ell)
+    symbols = _sorted_rows(lambda c: columns[c - 1], k, ell, n)
+    return BlockFamily._from_symbols(params, symbols, set(symbols))

@@ -5,8 +5,8 @@ over parameters (k, n) is a k-tuple with entries in {1..n}, and a cube of
 dimension d and order n is a dense table over {1..n}^d.  Modular arithmetic
 inside the constructions works on residues {0..n-1} and shifts by +1 at the
 boundary.  `lift_columns` is the lift's one layout: the cube checks count it,
-`lift_cubes` zips it into blocks, `extract_cubes` inverts it; with no tables it
-is minsearch's candidate grid.
+`lift_cubes` scatters it into rows, `extract_cubes` inverts it; with no tables
+it is minsearch's candidate grid and the sorted rows' first columns.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ class BlockFamily:
     Canonical form is lexicographically sorted with exact duplicates removed;
     duplicates are representable (they arise transiently during symbol fusion
     and in deliberately broken test inputs) but `canonical()` strips them.
-    A parsed family keeps one row-major array("I") and builds `blocks` when first read.
+    A parsed or built family keeps one row-major array("I") and builds
+    `blocks` when first read, then drops the array.
     """
 
     params: Params
@@ -168,12 +169,18 @@ class BlockFamily:
     def __getattr__(self, name: str):
         if name != "blocks" or self._symbols is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = tuple(zip(*[iter(self._symbols)] * self.params.k)) if self._symbols else ()
-        object.__setattr__(self, "blocks", rows)
+        rows = tuple(self._rows())
+        self.__dict__.update(blocks=rows, _symbols=None)  # never both: the array goes
         return rows
 
+    def _rows(self):
+        """The rows: k-tuples read off the array, or the built blocks."""
+        if (symbols := self._symbols) is None:
+            return self.blocks
+        return zip(*[iter(symbols)] * self.params.k) if symbols else ()
+
     def _column(self, c: int):
-        """Column c (1-based): a strided slice of the parsed symbols, or the rows' transpose."""
+        """Column c (1-based): a strided slice of the array, or the rows' transpose."""
         symbols, k = self._symbols, self.params.k
         return list(map(itemgetter(c - 1), self.blocks)) if symbols is None else symbols[c - 1 :: k]
 

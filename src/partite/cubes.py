@@ -1,16 +1,16 @@
 """Conversions between block families, Latin cube systems, and MOLS.
 
-Both follow `core.lift_columns`, the lift's one layout: lifting zips its
-columns into blocks, and extraction reads the free columns back in row-major
-order.  The two are inverse at the last ell positions, extraction's default.
-Both put rows in order by placing each at its key in the kernel's projection
-(`verify._placed`); only a lift whose first d columns are not a bijection is
-sorted.
+Both follow `core.lift_columns`, the lift's one layout: lifting scatters its
+columns into one row-major array of sorted rows, and extraction sorts the rows
+by their symbols at its positions and slices the free columns out as tables.
+The two are inverse at the last ell positions, extraction's default.  Both
+sort by scattering each column at its rows' keys in the kernel's projection
+(`verify._sorted_rows`); only a lift whose first d columns are not a bijection
+is zipped and sorted.
 """
 
 from __future__ import annotations
 
-from array import array
 from pathlib import Path
 
 from . import verify
@@ -63,14 +63,13 @@ def extract_cubes(family: BlockFamily, positions: IndexSet | None = None) -> Cub
             f"positions must be {ell} strictly increasing values in 1..{k}, got {positions}"
         )
     _require_exact("family is not an exact decomposition", verify.is_l_extendable(family).witness)
-    # exactness places the n^ell row numbers at their keys at positions in
-    # row-major order, like the tables, which gather the free columns by them
-    order = verify._placed(range(n**ell), verify._block_keys(family), positions, n)
+    # exactness makes the keys at positions a bijection: rows sorted by them,
+    # positions first, hold the free columns in row-major order, like the tables
     taken = set(positions)
-    free = (family._column(j) for j in range(1, k + 1) if j not in taken)
-    cubes = tuple(LatinCube._from_symbols(ell, n, array("I", map(column.__getitem__, order)))
-                  for column in free)  # the family's symbols passed its range check
-    return CubeSet(ell, n, cubes)
+    order = [*positions, *(j for j in range(1, k + 1) if j not in taken)]
+    symbols = verify._sorted_rows(lambda c: family._column(order[c - 1]), k, ell, n)
+    tables = (symbols[c::k] for c in range(ell, k))  # the family's symbols passed its range check
+    return CubeSet(ell, n, tuple(LatinCube._from_symbols(ell, n, table) for table in tables))
 
 
 def lift_cubes(cube_set: CubeSet) -> BlockFamily:
@@ -84,11 +83,8 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     m = len(cube_set.cubes)
     check_size(f"(m+d)*n^d = {m + d}*{n}^{d}", n, d, factor=m + d)  # the symbols it writes
     column = lift_columns([cube._table() for cube in cube_set.cubes], d, n)
-    rows = list(zip(*map(column, range(1, m + d + 1))))
-    # rows with distinct first-d prefixes sort by them alone, that is in the
-    # order of their keys there; only prefixes that collide need the sort
-    placed = verify._placed(rows, verify._projection_keys(column, n), range(1, d + 1), n)
-    return BlockFamily(Params(m + d, n, d), tuple(sorted(rows) if placed is None else placed))
+    symbols = verify._sorted_rows(column, m + d, d, n)  # sorted only if first-d prefixes collide
+    return BlockFamily._from_symbols(Params(m + d, n, d), symbols, set(symbols))
 
 
 def mols_to_blocks(squares: CubeSet) -> BlockFamily:

@@ -61,8 +61,9 @@ def _joined(header: str, width: int, rows) -> str:
 
 
 def format_blocks(family: BlockFamily) -> str:
-    p = family.params
-    return _joined(f"blocks {p.k} {p.n} {p.ell} {len(family.blocks)}", p.k, family.blocks)
+    p, symbols = family.params, family._symbols
+    count = len(family.blocks) if symbols is None else len(symbols) // p.k
+    return _joined(f"blocks {p.k} {p.n} {p.ell} {count}", p.k, family._rows())
 
 
 def _past(cut: re.Pattern, text: str, at: int) -> int:

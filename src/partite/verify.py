@@ -4,15 +4,17 @@ The kernel projects rows onto each subset of columns in turn and returns the
 first value tuple (cell) whose hit count, capped at 2, is not allowed.
 `_projection_keys` packs each column once into one int with an unsigned field
 per row, so a subset's keys take a few whole-column int operations; the same
-keys serve placement (`_placed`) and minsearch's pair ids.  A mark pass decides
-each subset (every cell hit, and as many rows as cells or 2 allowed); only a
-failing subset runs the capped counting loop, which locates the witness.  The
-checks differ only in their columns: the block positions (exact, cover), or
-`core.lift_columns`, the lift's layout (tables, then grid axes): the grid axes
-then the value (Latin), the cube tables (orthogonal), or the whole lift
-(invertible; by the main theorem, exactness of the lift).  Witness rule:
-subsets in the order given, cells in row-major order, so a witness is the
-lexicographically first offending (subset, value tuple) whatever the row order.
+keys serve minsearch's pair ids and the column scatter that puts the rows of
+`construct`, the lift and extraction in order (`_sorted_rows`).  A mark pass
+decides each subset (every cell hit, and as many rows as cells or 2 allowed);
+only a failing subset runs the capped counting loop, which locates the
+witness.  The checks differ only in their columns: the block positions
+(exact, cover), or `core.lift_columns`, the lift's layout (tables, then grid
+axes): the grid axes then the value (Latin), the cube tables (orthogonal), or
+the whole lift (invertible; by the main theorem, exactness of the lift).
+Witness rule: subsets in the order given, cells in row-major order, so a
+witness is the lexicographically first offending (subset, value tuple)
+whatever the row order.
 A large check (_SPLIT_CELLS) splits the subsets after the first into one
 contiguous run per CPU and forks a child for each run but the first (POSIX);
 the earliest failing run names the witness, so it does not depend on the split.
@@ -25,7 +27,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import comb
 from operator import setitem
 
@@ -58,19 +60,35 @@ def _projection_keys(column, n: int):
     return keys
 
 
-def _placed(rows, keys, subset, n: int) -> list | None:
-    """The n^w rows placed at their keys on the w-subset, in row-major cell order.
+def _every_cell(at, offset: int, size: int) -> bool:
+    """Whether the keys at hit every cell, each key marked in a zeroed bytearray."""
+    marks = bytearray(offset + size)
+    deque(map(setitem, repeat(marks), at, repeat(1)), 0)
+    return marks.find(0, offset) < 0
 
-    None if a cell stays empty, which with n^w rows means the projection is not
-    a bijection.  keys is _projection_keys over rows, and n^w passed check_size.
+
+def _sorted_rows(column, k: int, w: int, n: int) -> array:
+    """The rows of column(1..k), sorted, as one row-major array("I") of k symbols a row.
+
+    Rows whose first w columns are a bijection onto the n^w cells (n^w passed
+    check_size) sort by them alone: those become the grid axes, and each later
+    column is scattered by its keys there, so every column is read once.
+    Otherwise, and for n = 1 or fewer rows than columns, the columns are read
+    again, zipped and sorted: a column costs the scatter about a microsecond
+    however short it is.
     """
-    if n == 1:  # one cell and one row; the subset, maybe a long range, is not read
-        return rows
-    size = n ** len(subset)
-    placed = [None] * ((size - 1) // (n - 1) + size)
-    deque(map(setitem, repeat(placed), keys(subset), rows), 0)
-    del placed[:-size]
-    return None if None in placed else placed
+    size = n**w
+    at = _projection_keys(column, n)(range(1, w + 1)) if 1 < n and k <= size else ()
+    offset = (size - 1) // max(n - 1, 1)  # where the keys start, as in _scan
+    if len(at) != size or not _every_cell(at, offset, size):
+        return array("I", chain.from_iterable(sorted(zip(*map(column, range(1, k + 1))))))
+    grid, symbols = lift_columns([], w, n), array("I", (0,)) * (k * size)
+    placed = array("I", (0,)) * (offset + size)  # each column fills all of placed[offset:]
+    for c in range(1, k + 1):
+        if c > w:
+            deque(map(setitem, repeat(placed), at, column(c)), 0)
+        symbols[c - 1 :: k] = grid(c) if c <= w else placed[offset:]
+    return symbols
 
 
 def _scan(keys, subsets, n: int, width: int, allowed: set[int]) -> Witness | None:
@@ -80,10 +98,8 @@ def _scan(keys, subsets, n: int, width: int, allowed: set[int]) -> Witness | Non
     offset = (size - 1) // (n - 1)
     for subset in subsets:
         at = keys(subset)
-        marks = bytearray(offset + size)
-        deque(map(setitem, repeat(marks), at, repeat(1)), 0)
         # every cell hit by exactly size rows means hit once each (pigeonhole)
-        if marks.find(0, offset) < 0 and (len(at) == size or repeats_allowed):
+        if _every_cell(at, offset, size) and (len(at) == size or repeats_allowed):
             continue
         counts = bytearray(offset + size)
         for key in at:

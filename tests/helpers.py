@@ -14,6 +14,8 @@ and `mols_to_blocks` against its earlier Latin-then-orthogonal decision.
 `product_decomposition` is checked against its earlier block-by-block product.
 `fuse` is checked against its earlier set-then-sort fold, and
 `vandermonde_blocks` against its earlier coefficient enumeration and sort.
+`construct`, `lift_cubes` and `extract_cubes` are checked against the zip and
+sort of the rows they now scatter into one array.
 `validated_families` records each family `BlockFamily` validates.
 """
 
@@ -30,8 +32,8 @@ from partite import (
     lift_cubes,
     verify,
 )
-from partite.construct import is_prime
-from partite.core import SIZE_LIMIT, capped_power, check_size
+from partite.construct import _exact_columns, is_prime
+from partite.core import SIZE_LIMIT, capped_power, check_size, lift_columns
 from partite.cover import DEFAULT_BUDGET, SEARCH_VOLUME_GUARD
 
 
@@ -51,15 +53,24 @@ def first_projection_offense(family: BlockFamily, allowed=(1,)):
 
 
 def validated_families(monkeypatch) -> list[int]:
-    """The block count of every family BlockFamily validates from now on, in order."""
+    """The block count of every family BlockFamily validates from now on, in order.
+
+    A family built from blocks is validated in __post_init__, and one built on
+    an array by the range check in _from_symbols.
+    """
     sizes = []
-    validate = BlockFamily.__post_init__
+    validate, from_symbols = BlockFamily.__post_init__, BlockFamily._from_symbols.__func__
 
     def counted(family):
         sizes.append(len(family.blocks))
         validate(family)
 
+    def counted_symbols(cls, params, symbols, distinct):
+        sizes.append(len(symbols) // params.k)
+        return from_symbols(cls, params, symbols, distinct)
+
     monkeypatch.setattr(BlockFamily, "__post_init__", counted)
+    monkeypatch.setattr(BlockFamily, "_from_symbols", classmethod(counted_symbols))
     return sizes
 
 
@@ -175,6 +186,36 @@ def vandermonde_blocks_reference(k: int, n: int, ell: int) -> BlockFamily:
             column = [(x - 1 + step * a) % n + 1 for x in column for a in range(n)]
         columns.append(column)
     return BlockFamily(params, tuple(sorted(zip(*columns))))
+
+
+def construct_reference(k: int, n: int, ell: int) -> BlockFamily:
+    """The one zip and sort construct ran before it scattered its columns into
+    one array, kept verbatim apart from this docstring.
+    """
+    return BlockFamily(Params(k, n, ell), tuple(sorted(zip(*_exact_columns(k, n, ell)))))
+
+
+def lift_cubes_reference(cube_set: CubeSet) -> BlockFamily:
+    """The lift's columns zipped into rows and sorted, which lift_cubes did by
+    placing them at their keys, or by the sort where the first d columns collide.
+    """
+    d, n = cube_set.d, cube_set.n
+    check_size(f"n^d = {n}^{d}", n, d)
+    m = len(cube_set.cubes)
+    check_size(f"(m+d)*n^d = {m + d}*{n}^{d}", n, d, factor=m + d)
+    column = lift_columns([cube._table() for cube in cube_set.cubes], d, n)
+    return BlockFamily(Params(m + d, n, d), tuple(sorted(zip(*map(column, range(1, m + d + 1))))))
+
+
+def extract_cubes_reference(family: BlockFamily, positions) -> CubeSet:
+    """The free columns of an exact family's blocks sorted by their symbols at
+    positions, which extract_cubes read in that order through placed row numbers.
+    """
+    k, n, ell = family.params.k, family.params.n, family.params.ell
+    free = [j - 1 for j in range(1, k + 1) if j not in positions]
+    rows = sorted(family.blocks, key=lambda block: [block[s - 1] for s in positions])
+    tables = zip(*([block[j] for j in free] for block in rows))
+    return CubeSet(ell, n, tuple(LatinCube(ell, n, table) for table in tables))
 
 
 def _cube_value(cube: LatinCube, coords) -> int:

@@ -22,6 +22,7 @@ from partite import (
     construct,
     extract_cubes,
     is_l_extendable,
+    lift_cubes,
     orthogonal_not_invertible_cubes,
 )
 from partite.cli import (
@@ -576,6 +577,34 @@ def test_block_writer_holds_no_str_per_line():
         tracemalloc.stop()
     assert text.count("\n") == 49**3 + 1
     assert peak < 7 * 2**20
+
+
+def test_construct_builds_no_row_tuples():
+    # construct scatters its columns into one row-major array; its 117,649 row
+    # tuples took the peak to 12.45 MiB, and to 16.1 MiB with the write, whose
+    # own peak on a constructed family test_block_writer_holds_no_str_per_line bounds
+    tracemalloc.start()
+    try:
+        family = construct(7, 49, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family._symbols) == 7 * 49**3
+    assert peak < 6 * 2**20
+
+
+def test_lifted_family_is_written_without_row_tuples():
+    # the lift scatters its columns into one row-major array that format_blocks
+    # reads rows off; its 117,649 row tuples took the peak to 17.75 MiB
+    text = format_cubes(extract_cubes(construct(7, 49, 3)))
+    tracemalloc.start()
+    try:
+        written = format_blocks(lift_cubes(parse_cubes(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written.count("\n") == 49**3 + 1
+    assert peak < 10 * 2**20
 
 
 def test_block_parse_holds_no_str_per_line():

@@ -8,6 +8,7 @@ from partite import (
     CubeSet,
     LatinCube,
     Params,
+    construct,
     enumerate_index_sets,
     flatten_coords,
     unflatten_index,
@@ -93,6 +94,14 @@ def test_block_family_rejects_wrong_length():
 def test_block_family_rejects_out_of_range_symbol():
     with pytest.raises(ValueError, match="outside"):
         BlockFamily(Params(2, 2, 2), ((1, 3),))
+
+
+def test_reading_blocks_drops_the_built_array():
+    family = construct(5, 7, 3)
+    columns = [list(family._column(c)) for c in range(1, 6)]
+    assert family.blocks == tuple(zip(*columns))
+    assert family._symbols is None  # rows and array are never both held
+    assert [list(family._column(c)) for c in range(1, 6)] == columns
 
 
 def test_latin_cube_value_accessor():

@@ -6,6 +6,7 @@ the kernel, whose reply is its line alone, and streaming through the helper
 itself.  Each test ends with no child left.
 """
 
+import _thread
 import os
 import signal
 import threading
@@ -176,6 +177,30 @@ def test_a_second_thread_keeps_the_parse_in_one_process(split, monkeypatch, pars
         release.set()
         thread.join(10)
     assert not thread.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no OS thread list")
+def test_a_thread_outside_threading_keeps_the_runs_in_one_process(monkeypatch):
+    # threading.active_count() does not count a thread started through _thread
+    monkeypatch.setattr(_runs, "_cpus", lambda: 2)
+    refuse_fork(monkeypatch)
+    asleep, woken = _thread.allocate_lock(), _thread.allocate_lock()
+    asleep.acquire()
+    woken.acquire()
+    _thread.start_new_thread(lambda: asleep.acquire() and woken.release(), ())
+    try:
+        assert threading.active_count() == 1
+        # run i of w sums its share of 0..9: serially one run sums all ten
+        assert _runs.in_runs(2, lambda i, w: (sum(range(10 * i // w, 10 * (i + 1) // w)),),
+                             lambda r: False) == [(45,)]
+    finally:
+        asleep.release()
+        assert woken.acquire(timeout=10)
+    deadline = time.monotonic() + 10  # later tests fork only once the thread is gone
+    while _runs._threads() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _runs._threads() == 1
+    assert_no_child_left()
 
 
 @PARSES
