@@ -2,16 +2,18 @@
 
 Block files: header `blocks k n l count`, then `count` lines of k symbols,
 sorted lexicographically; a parse splits the text into lines about 64 KiB at a
-time, counts them and converts them into one row-major array("I"), and reads
-rows only to name a wrong count, a broken line or a token.  Cube files: header
-`cubes d n m`, then for each cube n^(d-1) lines of n symbols, last coordinate
-fastest; a parse converts the body about 64 KiB of text at a time into one
-array("I"), and each cube keeps its slice.  From _SPLIT_CHARS characters on,
-either body is cut into one span per CPU, each parsed by its own process
-(_runs.in_runs).  Both formats are LF-terminated with single
-spaces and no trailing whitespace, so identical objects always serialize to
-identical bytes; both writers join about 4,096 lines at a time, so no output
-holds a str per line.
+time, counts them and converts them into one row-major array("I").  Cube files:
+header `cubes d n m`, then for each cube n^(d-1) lines of n symbols, last
+coordinate fastest; a parse converts the body about 64 KiB of text at a time
+into one array("I"), and each cube keeps its slice.  From _SPLIT_CHARS
+characters on, either body is cut into one span per CPU, each parsed by its own
+process (_runs.in_runs).  A file that does not fit its array (a wrong count, a
+broken line, a token int() refuses, a value outside 0..2^32-1) is named in this
+process by one naming pass (_named) over the same cuts, which holds one cut's
+rows or values at a time and keeps only their count and the first bad one.
+Both formats are LF-terminated with single spaces and no trailing whitespace,
+so identical objects always serialize to identical bytes; both writers join
+about 4,096 lines at a time, so no output holds a str per line.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from itertools import chain, islice
 from operator import not_
 
 from ._runs import in_runs
-from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, _check_symbols, check_size
+from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, check_size
+from .core import _check_block, _check_symbols
 
 _CUBE_HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)")  # the first four tokens
 _SPACE = re.compile(r"\s")  # the whitespace str.split() splits at
@@ -120,6 +123,19 @@ def _converted(chunks, k: int, symbols: array, memo: _Tokens) -> int | None:
     return seen
 
 
+def _named(chunks, bad) -> tuple[int, object]:
+    """The count of the items in chunks, and the first that bad holds for, or None.
+
+    Each chunk is a list of one cut's rows or values, converted through the
+    file's _Tokens memo as the caller's generator yields it, so int() raises on
+    the first bad token in file order, and only the count and one item are kept.
+    """
+    seen, first = 0, None
+    for held in chunks:
+        seen, first = seen + len(held), next(filter(bad, held), None) if first is None else first
+    return seen, first
+
+
 def parse_blocks(text: str) -> BlockFamily:
     lines = next(filter(None, _line_chunks(text, size=0)), None)  # a "\n" at a time
     if lines is None:
@@ -128,11 +144,12 @@ def parse_blocks(text: str) -> BlockFamily:
     if len(header) != 5 or header[0] != "blocks":
         raise ValueError(f"bad block header: {lines[0]!r}")
     k, n, ell, count = (int(tok) for tok in header[1:])
+    head = text.index(lines[0]) + len(lines[0])  # the body starts at the header's line end
     memo, symbols = _Tokens(), array("I")
-    # as written, each of the count + 1 lines ends in one "\n"; any other file is
-    # counted before a line is converted, so a wrong count costs no conversion
-    if text.count("\n") == count + 1 or sum(map(len, _line_chunks(text))) == count + 1:
-        head = text.index(lines[0]) + len(lines[0])  # the body starts at the header's line end
+    # as written, each of the count + 1 lines ends in one "\n"; any other file has
+    # its lines counted before one is converted, so a wrong count costs no conversion
+    found = None if text.count("\n") == count + 1 else sum(map(len, _line_chunks(text, head)))
+    if found in (None, count):
 
         def convert(start: int, stop: int) -> tuple:
             """text[start:stop]'s line count, then the least and greatest symbol so far; or ()."""
@@ -143,12 +160,15 @@ def parse_blocks(text: str) -> BlockFamily:
         if all(spans) and sum(s[0] for s in spans) == count:
             distinct = [v for s in spans for v in s[1:]]
             return BlockFamily._from_symbols(Params(k, n, ell), symbols, distinct)
-    # a wrong count or a broken line: read the file by rows, to name the count first
-    lines = list(filter(str.strip, text.splitlines()))[1:]
-    if len(lines) != count:
-        raise ValueError(f"header says {count} blocks, file has {len(lines)}")
-    blocks = [tuple(map(memo.__getitem__, line.split())) for line in lines]
-    return BlockFamily(Params(k, n, ell), tuple(blocks))  # int() or this names the first break
+    # named in parse_blocks_reference's order: the count (which blank lines can hide
+    # from the "\n"s), a token int() refuses, Params, then the first bad block
+    if (found := sum(map(len, _line_chunks(text, head))) if found is None else found) != count:
+        raise ValueError(f"header says {count} blocks, file has {found}")
+    top = min(n, 2**32 - 1)  # the array's range: a greater symbol is refused even within 1..n
+    rows = ([tuple(map(memo.__getitem__, line.split())) for line in chunk]
+            for chunk in _line_chunks(text, head))
+    _, first = _named(rows, lambda row: len(row) != k or not 1 <= min(row) <= max(row) <= top)
+    _check_block(first, Params(k, top, ell))  # Params(k, n, ell)'s message, if it has one
 
 
 def format_cubes(cube_set: CubeSet) -> str:
@@ -176,19 +196,19 @@ def parse_cubes(text: str) -> CubeSet:
 
     try:
         distinct = [v for s in _in_spans(text, header.end(), _SPACE, values, convert) for v in s]
-    except OverflowError:  # a value outside 0..2^32-1; int() may yet fail on a later token
-        values = list(map(memo.__getitem__, text[header.end() :].split()))
-        distinct = memo.values()
-    if len(values) != expected:
-        raise ValueError(
-            f"cube file has {len(values)} values, expected m*n^d = {expected}"
-        )
+        seen = len(values)
+    except OverflowError:  # a value outside 0..2^32-1, so outside 1..n whenever m*n^d > 0
+        del values[:]  # named again below, a chunk at a time
+        chunks = (list(map(memo.__getitem__, piece.split()))
+                  for piece in _pieces(text, header.end(), len(text), _SPACE, _CUBE_CHUNK))
+        seen, first = _named(chunks, lambda v: not 1 <= v <= n)
+        values = distinct = (first,)  # all the range check below reads
+    if seen != expected:
+        raise ValueError(f"cube file has {seen} values, expected m*n^d = {expected}")
     _check_symbols(values, n, distinct)  # the whole file's range, decided once
     volume = expected // m if m else 0
-    members = tuple(
-        LatinCube._from_symbols(d, n, values[i * volume : (i + 1) * volume]) for i in range(m)
-    )
-    return CubeSet(d, n, members)
+    tables = (values[i * volume : (i + 1) * volume] for i in range(m))
+    return CubeSet(d, n, tuple(LatinCube._from_symbols(d, n, table) for table in tables))
 
 
 def format_witness(witness: Witness) -> str:

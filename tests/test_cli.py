@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -644,6 +645,80 @@ def test_block_file_with_a_wrong_count_converts_no_token(monkeypatch, extra):
     monkeypatch.setattr(formats._Tokens, "__missing__", no_conversion)
     with pytest.raises(ValueError, match=f"header says {25**3 + extra} blocks, file has {25**3}$"):
         parse_blocks(text)
+
+
+def test_block_symbol_past_32_bits_is_refused_within_n():
+    # symbols are held as unsigned 32-bit values, so a header may declare n of
+    # 2^32 or more, but a symbol above 2^32 - 1 is refused, naming that range
+    assert parse_blocks("blocks 2 4294967297 1 1\n1 2\n").params.n == 2**32 + 1
+    with pytest.raises(ValueError, match=r"^symbol 4294967297 outside 1\.\.4294967295 in block "
+                                         r"\(1, 4294967297\)$"):
+        parse_blocks("blocks 2 4294967297 1 1\n1 4294967297\n")
+
+
+# a 0.33 MB block file and a 0.32 MB cube file, both past _SPLIT_CHARS
+PEAK_BLOCKS = format_blocks(construct(5, 29, 3))
+PEAK_CUBES = format_cubes(extract_cubes(construct(7, 31, 3)))
+
+
+def _last_token(text: str, new: str) -> str:
+    """text with its last token written as new."""
+    return text[: text.rstrip().rindex(" ") + 1] + new + "\n"
+
+
+# damage -> (parse, clean text, damaged text, message); each damage but the
+# header's count is in the last line, so the array parse converts the whole file
+# before it gives up, and the x follows a short first block, chunks earlier,
+# which must not end the naming pass
+PEAK_DAMAGES = {
+    "x": (parse_blocks, PEAK_BLOCKS,
+          _last_token(PEAK_BLOCKS.replace("\n1 1 1 1 1\n", "\n1 1 1 1\n", 1), "x"),
+          "invalid literal for int() with base 10: 'x'"),
+    "line of k + 1": (parse_blocks, PEAK_BLOCKS, PEAK_BLOCKS[:-1] + " 1\n",
+                      "block length 6 does not match k=5: (29, 29, 29, 29, 29, 1)"),
+    "count one short": (parse_blocks, PEAK_BLOCKS,
+                        PEAK_BLOCKS.replace(f" {29**3}\n", f" {29**3 - 1}\n", 1),
+                        f"header says {29**3 - 1} blocks, file has {29**3}"),
+    "-3": (parse_cubes, PEAK_CUBES, _last_token(PEAK_CUBES, "-3"), "symbol -3 outside 1..31"),
+    "2^32": (parse_cubes, PEAK_CUBES, _last_token(PEAK_CUBES, str(2**32)),
+             f"symbol {2**32} outside 1..31"),
+}
+
+
+@functools.cache
+def _clean_peak(parse, text: str, cpus: int) -> int:
+    """parse(text)'s peak with _runs._cpus patched to cpus, which the caller does."""
+    message, peak = _peak(parse, text)
+    assert message is None
+    return peak
+
+
+def _peak(parse, text: str) -> tuple[str | None, int]:
+    """parse(text)'s message, or None, and its tracemalloc peak."""
+    message = None
+    tracemalloc.start()
+    try:
+        parse(text)
+    except ValueError as exc:
+        message = str(exc)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return message, peak
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("damage", PEAK_DAMAGES)
+def test_damaged_file_parses_in_a_clean_files_memory(monkeypatch, cpus, damage):
+    # a damaged file is named a chunk at a time, holding no row, value or line
+    # past its chunk: a whole-file row read or re-split peaked at 4 to 8 times
+    # the clean parse at (7,49,3), and a wrong count's re-split at 1.7 times
+    monkeypatch.setattr(_runs, "_cpus", lambda: cpus)
+    parse, clean, damaged, message = PEAK_DAMAGES[damage]
+    assert len(clean) >= formats._SPLIT_CHARS  # split across the CPUs where cpus > 1
+    damaged_message, damaged_peak = _peak(parse, damaged)
+    assert damaged_message == message
+    assert damaged_peak <= 1.25 * _clean_peak(parse, clean, cpus)
 
 
 @pytest.mark.parametrize("n", [3_000_000, 10**30])

@@ -10,7 +10,10 @@ Damaged files get one textual change each: a token written as 07, +3, -3, 0,
 n+1, 2^32 + 1 or x, an extra or a missing token, a token moved from one line
 to another, a line of 2k + 1 tokens, a tab or a doubled space, n+1 and n+2 on
 two lines, a blank line, CRLF line ends, or a header number set to 0, -3,
-2^32 + 1 or 10^30.  Files of two parse chunks (1,331 block lines, an 82 KB
+2^32 + 1 or 10^30; or two changes, the second on a later line, that pin the
+message order: a short line then x, a blanked line (the "\n" count kept) then
+a line of k + 1 tokens, n+1 then a line of k + 1 tokens, -3 then x, and -3
+then a missing token.  Files of two parse chunks (1,331 block lines, an 82 KB
 cube file) get x, n+1 or -3 at the end of the first chunk, the start of the
 second, the last token, or both ends, with LF, CRLF, tab-separated and (cubes)
 one-line layouts.  With the parses split across three processes, those
@@ -387,6 +390,17 @@ def test_mols_to_blocks_matches_latin_then_orthogonal_decision(squares):
     assert outcome.startswith(f"squares {a, b} are not orthogonal (" if orthogonal
                               else f"square {a} is not Latin (")
 
+
+# damage -> (the change to one line, the change to a later line)
+LATER_PAIRS = {
+    "short then x": ("missing", "x"),
+    "blanked then long": ("blank", "extra"),
+    "n+1 then long": ("n+1", "extra"),
+    "-3 then x": ("-3", "x"),
+    "-3 then short": ("-3", "missing"),
+}
+
+
 @st.composite
 def damaged_text(draw, text: str, n: int) -> str:
     """text with one change: a rewritten, extra or missing token, a blank line, or CRLF.
@@ -399,11 +413,14 @@ def damaged_text(draw, text: str, n: int) -> str:
     2^32 + 1 do not fit an unsigned 32-bit field.  Any change may fall on the
     header, and one always does: a header number becomes 0, -3, 2^32 + 1 or
     10^30, so the cube parse's size guard meets a huge d, n or m.
+    The LATER_PAIRS damages are two changes, the second on a later line where
+    there is one, so that the message order decides which of the two is named;
+    a blanked line keeps the "\n" count, so only the line count shows it.
     """
     damage = draw(st.sampled_from(
         ["none", "07", "+3", "0", "n+1", "x", "extra", "missing", "blank", "crlf",
          "compensating", "-3", "4294967297", "gap", "two out of range", "block more",
-         "header"]))
+         "header", *LATER_PAIRS]))
     if damage == "crlf":
         return text.replace("\n", "\r\n")
     lines = text.split("\n")[:-1]
@@ -411,6 +428,9 @@ def damaged_text(draw, text: str, n: int) -> str:
     other = i
     if damage in ("compensating", "two out of range") and len(lines) > 2:  # two block lines
         other = draw(st.integers(1, len(lines) - 1).filter(lambda line: line != i))
+    if damage in LATER_PAIRS and len(lines) > 2:  # two body lines, in file order
+        i, other = sorted(draw(st.lists(st.integers(1, len(lines) - 1), min_size=2,
+                                        max_size=2, unique=True)))
 
     def change(line: int, how: str) -> None:
         tokens = lines[line].split(" ")
@@ -441,6 +461,13 @@ def damaged_text(draw, text: str, n: int) -> str:
         change(other, "n+2")
     elif damage == "header":
         change(0, "header")
+    elif damage in LATER_PAIRS:
+        first, then = LATER_PAIRS[damage]
+        if first == "blank":
+            lines[i] = draw(st.sampled_from(["", "  ", "\t"]))
+        else:
+            change(i, first)
+        change(other, then)
     elif damage != "none":
         change(i, damage)
     return "\n".join(lines) + "\n"
