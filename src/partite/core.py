@@ -169,15 +169,10 @@ class BlockFamily:
     def __getattr__(self, name: str):
         if name != "blocks" or self._symbols is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = tuple(self._rows())
+        symbols = self._symbols  # k symbols a row; an empty array forms no k-long list
+        rows = tuple(zip(*[iter(symbols)] * self.params.k)) if symbols else ()
         self.__dict__.update(blocks=rows, _symbols=None)  # never both: the array goes
         return rows
-
-    def _rows(self):
-        """The rows: k-tuples read off the array, or the built blocks."""
-        if (symbols := self._symbols) is None:
-            return self.blocks
-        return zip(*[iter(symbols)] * self.params.k) if symbols else ()
 
     def _column(self, c: int):
         """Column c (1-based): a strided slice of the array, or the rows' transpose."""

@@ -12,15 +12,18 @@ broken line, a token int() refuses, a value outside 0..2^32-1) is named in this
 process by one naming pass (_named) over the same cuts, which holds one cut's
 rows or values at a time and keeps only their count and the first bad one.
 Both formats are LF-terminated with single spaces and no trailing whitespace,
-so identical objects always serialize to identical bytes; both writers join
-about 4,096 lines at a time, so no output holds a str per line.
+so identical objects always serialize to identical bytes.  Both writers read
+one flat run of symbols, write each through a memo of its text ("v ", or "v\\n"
+where it ends a line) and join about 2^13 symbols at a time, so no output
+holds a str per line or a row tuple.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from array import array
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import not_
 
 from ._runs import in_runs
@@ -35,38 +38,48 @@ _BLOCK_CHUNK = 1 << 16  # characters of block file text split into lines at a ti
 # characters below which one process parses a text: a fork and its reply cost
 # about what a split saves (2-CPU host; the (7,49,3) block file is 2.3 MB)
 _SPLIT_CHARS = 1 << 18
+# symbols a writer joins at a time, in whole lines: 1,024 lines of 8, a 64 KiB
+# token list (2^11 to 2^16 wrote as fast; 4,096 lines of 49 are 200,704 tokens)
+_WRITE_CHUNK = 1 << 13
 
 
 class _Tokens(dict):
-    """One file's token -> int(token) memo: int() runs once per distinct token.
+    """A memo of make(key), int(token) unless given: make runs once per distinct key.
 
-    Holds only tokens the file contains, so its size never depends on a header.
+    A parse maps a file's tokens to symbols through one, and the writers map
+    symbols to their text.  It holds only keys the file or output contains, so
+    its size never depends on a header.
     """
 
-    def __missing__(self, token: str) -> int:
-        value = self[token] = int(token)
+    def __init__(self, make=int):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
         return value
 
 
-def _joined(header: str, width: int, rows) -> str:
-    """The header line, then one line of width symbols per row, 4,096 lines a join.
+def _joined(header: str, width: int, symbols) -> str:
+    """The header line, then symbols, width a line, about _WRITE_CHUNK symbols a join.
 
-    The row template, width fields long, is built only once a row exists: a
-    header-only file may declare any width.
+    Each symbol is written through one memo as "v " and, where it ends a line,
+    through a second that maps "v " to "v\\n", so no line or row is formed.  A
+    join holds whole lines, at most sys.maxsize symbols: a header-only file may
+    declare any width.
     """
-    rows, parts = iter(rows), [header + "\n"]
-    for first in rows:  # runs at most once: the joins below take every other row
-        row = " ".join(["%d"] * width) + "\n"
-        parts.append(row % first)
-        while chunk := "".join(map(row.__mod__, islice(rows, 4096))):
-            parts.append(chunk)
+    symbols, spaced, ended = iter(symbols), _Tokens("{} ".format), _Tokens(lambda t: t[:-1] + "\n")
+    parts, size = [header + "\n"], min(max(width, _WRITE_CHUNK) // width * width, sys.maxsize)
+    while tokens := list(map(spaced.__getitem__, islice(symbols, size))):
+        tokens[width - 1 :: width] = map(ended.__getitem__, tokens[width - 1 :: width])
+        parts.append("".join(tokens))
     return "".join(parts)
 
 
 def format_blocks(family: BlockFamily) -> str:
     p, symbols = family.params, family._symbols
     count = len(family.blocks) if symbols is None else len(symbols) // p.k
-    return _joined(f"blocks {p.k} {p.n} {p.ell} {count}", p.k, family._rows())
+    flat = chain.from_iterable(family.blocks) if symbols is None else symbols  # built rows, or the array
+    return _joined(f"blocks {p.k} {p.n} {p.ell} {count}", p.k, flat)
 
 
 def _past(cut: re.Pattern, text: str, at: int) -> int:
@@ -123,16 +136,25 @@ def _converted(chunks, k: int, symbols: array, memo: _Tokens) -> int | None:
     return seen
 
 
-def _named(chunks, bad) -> tuple[int, object]:
-    """The count of the items in chunks, and the first that bad holds for, or None.
+def _within(values, top: int) -> bool:
+    """Whether every one of values, read twice, lies in 1..top."""
+    return 1 <= min(values, default=1) and max(values, default=1) <= top
+
+
+def _named(chunks, fits) -> tuple[int, object]:
+    """The count of the items in chunks, and the first that fits refuses, or None.
 
     Each chunk is a list of one cut's rows or values, converted through the
     file's _Tokens memo as the caller's generator yields it, so int() raises on
     the first bad token in file order, and only the count and one item are kept.
+    fits decides a whole chunk in bulk; only the first chunk it refuses is
+    searched an item at a time, each item as a chunk of one.
     """
     seen, first = 0, None
     for held in chunks:
-        seen, first = seen + len(held), next(filter(bad, held), None) if first is None else first
+        if first is None and not fits(held):
+            first = next(item for item in held if not fits([item]))
+        seen += len(held)
     return seen, first
 
 
@@ -165,16 +187,19 @@ def parse_blocks(text: str) -> BlockFamily:
     if (found := sum(map(len, _line_chunks(text, head))) if found is None else found) != count:
         raise ValueError(f"header says {count} blocks, file has {found}")
     top = min(n, 2**32 - 1)  # the array's range: a greater symbol is refused even within 1..n
-    rows = ([tuple(map(memo.__getitem__, line.split())) for line in chunk]
+    rows = (list(map(tuple, map(map, repeat(memo.__getitem__), map(str.split, chunk))))
             for chunk in _line_chunks(text, head))
-    _, first = _named(rows, lambda row: len(row) != k or not 1 <= min(row) <= max(row) <= top)
+    # a chunk converted without growing the memo holds only the memo's symbols, so
+    # a memo within 1..top here clears its range without reading it
+    size, clear = len(memo), _within(memo.values(), top)
+    _, first = _named(rows, lambda held: set(map(len, held)) <= {k} and (
+        clear and len(memo) == size or _within(list(chain.from_iterable(held)), top)))
     _check_block(first, Params(k, top, ell))  # Params(k, n, ell)'s message, if it has one
 
 
 def format_cubes(cube_set: CubeSet) -> str:
-    d, n = cube_set.d, cube_set.n
-    lines = chain.from_iterable(zip(*[iter(c._table())] * n) for c in cube_set.cubes)
-    return _joined(f"cubes {d} {n} {len(cube_set.cubes)}", n, lines)
+    d, n, cubes = cube_set.d, cube_set.n, cube_set.cubes
+    return _joined(f"cubes {d} {n} {len(cubes)}", n, chain.from_iterable(c._table() for c in cubes))
 
 
 def parse_cubes(text: str) -> CubeSet:
@@ -201,7 +226,7 @@ def parse_cubes(text: str) -> CubeSet:
         del values[:]  # named again below, a chunk at a time
         chunks = (list(map(memo.__getitem__, piece.split()))
                   for piece in _pieces(text, header.end(), len(text), _SPACE, _CUBE_CHUNK))
-        seen, first = _named(chunks, lambda v: not 1 <= v <= n)
+        seen, first = _named(chunks, lambda held: _within(held, n))
         values = distinct = (first,)  # all the range check below reads
     if seen != expected:
         raise ValueError(f"cube file has {seen} values, expected m*n^d = {expected}")

@@ -580,6 +580,20 @@ def test_block_writer_holds_no_str_per_line():
     assert peak < 7 * 2**20
 
 
+def test_cube_writer_holds_no_str_per_line():
+    # format_cubes joins about 2^13 symbols at a time, each through a memo of
+    # its text; joins of 4,096 lines of 49 took the peak to 3.65 MiB
+    cube_set = extract_cubes(construct(7, 49, 3))
+    tracemalloc.start()
+    try:
+        text = format_cubes(cube_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 4 * 49**2 + 1
+    assert peak < 3 * 2**20
+
+
 def test_construct_builds_no_row_tuples():
     # construct scatters its columns into one row-major array; its 117,649 row
     # tuples took the peak to 12.45 MiB, and to 16.1 MiB with the write, whose
@@ -732,6 +746,23 @@ def test_header_only_cube_file_writes_without_a_row_template(n):
     finally:
         tracemalloc.stop()
     assert text == f"cubes 1 {n} 0\n"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("k", [3_000_000, 10**30])
+def test_header_only_block_file_writes_without_a_row_template(k):
+    # a join holds whole lines, at most sys.maxsize symbols, so no header's width
+    # sizes it: 4,096 lines of 10^30 raised ValueError in islice; the rows,
+    # read after the write, form no k-long list either
+    tracemalloc.start()
+    try:
+        family = parse_blocks(f"blocks {k} 2 1 0")
+        text = format_blocks(family)
+        rows = family.blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (text, rows) == (f"blocks {k} 2 1 0\n", ())
     assert peak < 2**20
 
 

@@ -19,6 +19,10 @@ second, the last token, or both ends, with LF, CRLF, tab-separated and (cubes)
 one-line layouts.  With the parses split across three processes, those
 damages are placed at each span cut, and a child's span holds 2^32 + 1.
 A parsed cube system is compared with the built one.
+Both writers are compared with one str() per symbol at widths 1, 7 and 8,
+each on both sides of the join seam, with symbols of one to three digits, on
+unsorted tuple families with repeated rows, their parsed arrays, cubes of
+order 1 and dimension 1, and an empty family and cube set.
 `BlockFamily` validation is compared with its earlier per-block loop on
 blocks one symbol too short or too long and symbols one outside 1..n.
 The lift is compared with the point-by-point lift on any tables, Latin or
@@ -54,7 +58,7 @@ instances: both must run out or settle alike, so they visit the same tree.
 import os
 import re
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,7 +114,7 @@ from partite import (
 from partite import _runs, formats
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from partite.construct import is_prime
-from partite.formats import _BLOCK_CHUNK, _CUBE_CHUNK
+from partite.formats import _BLOCK_CHUNK, _CUBE_CHUNK, _WRITE_CHUNK
 from test_cover import brute_force_minimum_cover
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)
@@ -528,6 +532,43 @@ def test_parsed_cubes_match_their_tables(cube_set):
     assert all("table" not in vars(c) for c in parsed.cubes)
     assert (parsed, hash(parsed), repr(parsed)) == (cube_set, hash(cube_set), repr(cube_set))
     assert all(type(c.table) is tuple for c in parsed.cubes)
+
+
+def _symbol_rows(width: int, n: int, count: int) -> tuple:
+    """count rows of width symbols in 1..n, unsorted, row i + n repeating row i."""
+    return tuple(tuple((i * 7 + j * 13) % n + 1 for j in range(width)) for i in range(count))
+
+
+# the writers join _WRITE_CHUNK symbols in whole lines (1,024 lines of 8 and
+# 1,170 of 7), so 4,096 lines of 8 fill joins exactly and 4,097 start one more;
+# n of 12, 101 and 120 mixes 9 with 10 and 99 with 100
+@pytest.mark.parametrize("k, n, count", [
+    (1, 12, 30), (1, 101, _WRITE_CHUNK), (1, 101, _WRITE_CHUNK + 1),
+    (8, 120, _WRITE_CHUNK // 8), (8, 120, 4096), (8, 120, 4097),
+    (7, 101, _WRITE_CHUNK // 7), (7, 101, _WRITE_CHUNK // 7 + 1), (3, 12, 0), (3, 12, 5),
+])
+def test_block_writer_edges_match_reference(k, n, count):
+    # an unsorted tuple family with repeated rows, as the public constructor and
+    # the covers build it, and the array family its file parses into, write the
+    # same bytes
+    family = BlockFamily(Params(k, n, 1), _symbol_rows(k, n, count))
+    text = format_blocks(family)
+    assert text == format_blocks_reference(family)
+    assert format_blocks(parse_blocks(text)) == text
+
+
+# widths of 1 (n = 1, every symbol ends a line), 7 and 8; two cubes of 8^4
+# values fill one join exactly and three start another, cubes of 7^5 values
+# cross seams inside a cube, and d = 1 writes each cube as one line
+@pytest.mark.parametrize("d, n, m", [
+    (3, 1, 2), (1, 1, 3), (4, 8, 2), (4, 8, 3), (5, 7, 2), (1, 100, 3), (2, 101, 2), (3, 5, 0),
+])
+def test_cube_writer_edges_match_reference(d, n, m):
+    table = tuple(chain.from_iterable(_symbol_rows(n, n, n ** (d - 1))))
+    cube_set = CubeSet(d, n, (LatinCube(d, n, table),) * m)
+    text = format_cubes(cube_set)
+    assert text == format_cubes_reference(cube_set)
+    assert format_cubes(parse_cubes(text)) == text
 
 
 # Two-chunk files: 1,331 block lines against chunks of 1,024, and an 82 KB cube
