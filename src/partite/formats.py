@@ -106,9 +106,9 @@ def _in_spans(text: str, start: int, cut: re.Pattern, out: array, work) -> list[
     return in_runs(most, lambda i, w: work(edge(i, w), edge(i + 1, w)), not_, out)
 
 
-def _bounds(memo: _Tokens) -> tuple[int, int]:
-    """memo's least and greatest value, or (1, 1), which every range 1..n holds."""
-    return min(memo.values(), default=1), max(memo.values(), default=1)
+def _bounds(values) -> tuple[int, int]:
+    """The least and greatest of values, read twice, or (1, 1), which every range 1..n holds."""
+    return min(values, default=1), max(values, default=1)
 
 
 def _line_chunks(text: str, start: int = 0, stop: int | None = None, size: int = _BLOCK_CHUNK):
@@ -138,7 +138,8 @@ def _converted(chunks, k: int, symbols: array, memo: _Tokens) -> int | None:
 
 def _within(values, top: int) -> bool:
     """Whether every one of values, read twice, lies in 1..top."""
-    return 1 <= min(values, default=1) and max(values, default=1) <= top
+    least, most = _bounds(values)
+    return 1 <= least and most <= top
 
 
 def _named(chunks, fits) -> tuple[int, object]:
@@ -148,11 +149,12 @@ def _named(chunks, fits) -> tuple[int, object]:
     file's _Tokens memo as the caller's generator yields it, so int() raises on
     the first bad token in file order, and only the count and one item are kept.
     fits decides a whole chunk in bulk; only the first chunk it refuses is
-    searched an item at a time, each item as a chunk of one.
+    searched an item at a time, each item as a chunk of one.  An empty chunk,
+    a cut of blank lines, holds no item to name and is skipped.
     """
     seen, first = 0, None
     for held in chunks:
-        if first is None and not fits(held):
+        if first is None and held and not fits(held):
             first = next(item for item in held if not fits([item]))
         seen += len(held)
     return seen, first
@@ -176,7 +178,7 @@ def parse_blocks(text: str) -> BlockFamily:
         def convert(start: int, stop: int) -> tuple:
             """text[start:stop]'s line count, then the least and greatest symbol so far; or ()."""
             seen = _converted(filter(None, _line_chunks(text, start, stop)), k, symbols, memo)
-            return () if seen is None else (seen, *_bounds(memo))
+            return () if seen is None else (seen, *_bounds(memo.values()))
 
         spans = _in_spans(text, head, _NEWLINE, symbols, convert)
         if all(spans) and sum(s[0] for s in spans) == count:
@@ -189,11 +191,8 @@ def parse_blocks(text: str) -> BlockFamily:
     top = min(n, 2**32 - 1)  # the array's range: a greater symbol is refused even within 1..n
     rows = (list(map(tuple, map(map, repeat(memo.__getitem__), map(str.split, chunk))))
             for chunk in _line_chunks(text, head))
-    # a chunk converted without growing the memo holds only the memo's symbols, so
-    # a memo within 1..top here clears its range without reading it
-    size, clear = len(memo), _within(memo.values(), top)
-    _, first = _named(rows, lambda held: set(map(len, held)) <= {k} and (
-        clear and len(memo) == size or _within(list(chain.from_iterable(held)), top)))
+    _, first = _named(rows, lambda held: set(map(len, held)) <= {k}
+                      and _within(list(chain.from_iterable(held)), top))
     _check_block(first, Params(k, top, ell))  # Params(k, n, ell)'s message, if it has one
 
 
@@ -217,7 +216,7 @@ def parse_cubes(text: str) -> CubeSet:
         """The least and greatest value so far: never (), so no span ends the runs early."""
         for piece in _pieces(text, start, stop, _SPACE, _CUBE_CHUNK):
             values.extend(map(memo.__getitem__, piece.split()))
-        return _bounds(memo)
+        return _bounds(memo.values())
 
     try:
         distinct = [v for s in _in_spans(text, header.end(), _SPACE, values, convert) for v in s]

@@ -18,7 +18,8 @@ cube file) get x, n+1 or -3 at the end of the first chunk, the start of the
 second, the last token, or both ends, with LF, CRLF, tab-separated and (cubes)
 one-line layouts.  With the parses split across three processes, those
 damages are placed at each span cut, and a child's span holds 2^32 + 1.
-A parsed cube system is compared with the built one.
+A header with n = 0 or -1 is named even where a first cut of blank lines
+comes before a broken line.  A parsed cube system is compared with the built one.
 Both writers are compared with one str() per symbol at widths 1, 7 and 8,
 each on both sides of the join seam, with symbols of one to three digits, on
 unsorted tuple families with repeated rows, their parsed arrays, cubes of
@@ -655,6 +656,14 @@ def test_block_damage_at_a_line_cut(layout, damage):
     expected = _outcome(parse_blocks_reference, text)
     assert _outcome(parse_blocks, text) == expected
     assert isinstance(expected, str) is (damage in REFUSED_AT_A_CUT)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_blank_first_cut_before_a_broken_line_names_the_header(n):
+    # the naming pass's first cut holds only blank lines; no n >= 1 admits the line
+    text = f"blocks 1 {n} 1 1\n" + " " * (_BLOCK_CHUNK + 4464) + "\n1 2\n"
+    expected = _outcome(parse_blocks_reference, text)
+    assert _outcome(parse_blocks, text) == expected == f"n >= 1 violated (n={n})"
 
 
 # The split parses: with the threshold at 0 and three CPUs a body is cut into
