@@ -61,7 +61,12 @@ def smallest_blocking_prime(n: int, k: int) -> int | None:
 
 
 def _vandermonde_columns(k: int, p: int, ell: int) -> list[list[int]]:
-    """The columns of vandermonde_blocks(k, p, ell): row r is the r-th (x_1..x_ell)."""
+    """The columns of vandermonde_blocks(k, p, ell): row r is the r-th (x_1..x_ell).
+
+    Each column is built one Lagrange step at a time.  A step replaces every
+    symbol x by its p successors (x - 1 + L_i(c) * a mod p) + 1, a row built
+    once for each symbol the column holds, so the first step builds one row.
+    """
     # each i - j is a unit mod p, as 0 < |i - j| < ell <= p
     columns = []
     for c in range(1, k + 1):
@@ -113,10 +118,6 @@ def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
     1..ell.  Any ell vertices in distinct colour classes pin the polynomial,
     so the family is exact.  As L_i(c) = [i = c] for c <= ell, colours 1..ell
     run through the grid in lexicographic order: the rows come out sorted.
-
-    Each column is built one Lagrange step at a time.  A step replaces every
-    symbol x by its n successors (x - 1 + L_i(c) * a mod n) + 1, a row built
-    once for each symbol the column holds, so the first step builds one row.
     """
     Params(k, n, ell)
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)

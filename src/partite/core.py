@@ -7,6 +7,8 @@ inside the constructions works on residues {0..n-1} and shifts by +1 at the
 boundary.  `lift_columns` is the lift's one layout: the cube checks count it,
 `lift_cubes` scatters it into rows, `extract_cubes` inverts it; with no tables
 it is minsearch's candidate grid and the sorted rows' first columns.
+`_within` is the one test of the symbol range 1..n, and `_first_refused`, which
+decides chunks in bulk and searches only the first that fails, names offenders.
 """
 
 from __future__ import annotations
@@ -113,21 +115,47 @@ def lift_columns(tables: Sequence[Sequence[int]], d: int, n: int):
         array("I", (x,)).tobytes() * n ** (d + m - c) for x in range(1, n + 1))) * n ** (c - m - 1)
 
 
-def _first_outside(symbols, n: int) -> int:
-    """Index of the first of symbols outside 1..n, which must hold one.
+def _bounds(values) -> tuple[int, int]:
+    """The least and greatest of values, read twice, or (1, 1), which every range 1..n holds."""
+    return min(values, default=1), max(values, default=1)
 
-    C-level min and max rule out 4,096 symbols at a time; only the first chunk
-    that fails is scanned symbol by symbol, so a refusal stays linear.
+
+def _within(values, top: int) -> bool:
+    """Whether every one of values, read twice, lies in 1..top: the one range test."""
+    least, most = _bounds(values)
+    return 1 <= least and most <= top
+
+
+def _rows_fit(rows, k: int, top: int) -> bool:
+    """Whether every one of rows, read twice, is k long with every symbol in 1..top."""
+    return set(map(len, rows)) <= {k} and _within(set().union(*rows), top)
+
+
+def _first_refused(chunks, fits) -> tuple[int, object, int | None]:
+    """The count of the items in chunks, the first that fits refuses and its index, or None, None.
+
+    fits decides a chunk, a list, in bulk; only the first chunk it refuses is
+    searched, each item as a chunk of one, and an empty chunk is skipped.  A
+    parse's generator converts each chunk as it is read, so int() raises on the
+    first bad token in file order, and only the count and one item are kept.
     """
-    for start in range(0, len(symbols), 4096):
-        chunk = symbols[start : start + 4096]
-        if not 1 <= min(chunk) <= max(chunk) <= n:
-            return start + next(i for i, v in enumerate(chunk) if not 1 <= v <= n)
+    seen, first, at = 0, None, None
+    for held in chunks:
+        if at is None and held and not fits(held):
+            at, first = next((seen + i, item) for i, item in enumerate(held) if not fits([item]))
+        seen += len(held)
+    return seen, first, at
+
+
+def _first_outside(symbols, n: int) -> int:
+    """Index of the first of symbols outside 1..n, which must hold one, 4,096 symbols a chunk."""
+    chunks = (symbols[at : at + 4096] for at in range(0, len(symbols), 4096))
+    return _first_refused(chunks, lambda held: _within(held, n))[2]
 
 
 def _check_symbols(symbols, n: int, distinct) -> None:
     """Refuse the first of symbols outside 1..n; distinct holds each value symbols do."""
-    if distinct and not 1 <= min(distinct) <= max(distinct) <= n:
+    if not _within(distinct, n):
         raise ValueError(f"symbol {symbols[_first_outside(symbols, n)]} outside 1..{n}")
 
 
@@ -161,7 +189,7 @@ class BlockFamily:
         """The family whose rows are symbols, k at a time; distinct holds each value symbols do."""
         family = object.__new__(cls)
         family.__dict__.update(params=params, _symbols=symbols)
-        if symbols and not 1 <= min(distinct) <= max(distinct) <= params.n:
+        if not _within(distinct, params.n):
             i = _first_outside(symbols, params.n) // params.k
             _check_block(tuple(symbols[i * params.k : (i + 1) * params.k]), params)
         return family
@@ -180,14 +208,10 @@ class BlockFamily:
         return list(map(itemgetter(c - 1), self.blocks)) if symbols is None else symbols[c - 1 :: k]
 
     def __post_init__(self) -> None:
-        k, n = self.params.k, self.params.n
         # decide in bulk; only a family that fails is scanned for its first bad block
-        if set(map(len, self.blocks)) <= {k} and all(
-            1 <= v <= n for v in set().union(*self.blocks)
-        ):
-            return
-        for block in self.blocks:
-            _check_block(block, self.params)
+        if not _rows_fit(self.blocks, self.params.k, self.params.n):
+            for block in self.blocks:
+                _check_block(block, self.params)
 
     def canonical(self) -> "BlockFamily":
         return BlockFamily(self.params, tuple(sorted(set(self.blocks))))

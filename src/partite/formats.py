@@ -7,10 +7,11 @@ header `cubes d n m`, then for each cube n^(d-1) lines of n symbols, last
 coordinate fastest; a parse converts the body about 64 KiB of text at a time
 into one array("I"), and each cube keeps its slice.  From _SPLIT_CHARS
 characters on, either body is cut into one span per CPU, each parsed by its own
-process (_runs.in_runs).  A file that does not fit its array (a wrong count, a
-broken line, a token int() refuses, a value outside 0..2^32-1) is named in this
-process by one naming pass (_named) over the same cuts, which holds one cut's
-rows or values at a time and keeps only their count and the first bad one.
+process (_runs.in_runs); a span that does not fit the array (a broken line, a
+token int() refuses, a value outside 0..2^32-1) returns (), ending the runs.
+Such a file, or one with a wrong count, is named here by one naming pass
+(core._first_refused) over the same cuts, holding one cut's items at a time;
+this module cuts and converts text, and core decides the range 1..n.
 Both formats are LF-terminated with single spaces and no trailing whitespace,
 so identical objects always serialize to identical bytes.  Both writers read
 one flat run of symbols, write each through a memo of its text ("v ", or "v\\n"
@@ -28,13 +29,13 @@ from operator import not_
 
 from ._runs import in_runs
 from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, check_size
-from .core import _check_block, _check_symbols
+from .core import _bounds, _check_block, _check_symbols, _first_refused, _rows_fit, _within
 
 _CUBE_HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)")  # the first four tokens
 _SPACE = re.compile(r"\s")  # the whitespace str.split() splits at
-_NEWLINE = re.compile("\n")
-_CUBE_CHUNK = 1 << 16  # characters of cube body text split at a time
-_BLOCK_CHUNK = 1 << 16  # characters of block file text split into lines at a time
+# where str.splitlines() breaks a line; a cut inside "\r\n" leaves a blank line
+_NEWLINE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+_CHUNK = 1 << 16  # characters of body text a parse splits at a time
 # characters below which one process parses a text: a fork and its reply cost
 # about what a split saves (2-CPU host; the (7,49,3) block file is 2.3 MB)
 _SPLIT_CHARS = 1 << 18
@@ -106,15 +107,10 @@ def _in_spans(text: str, start: int, cut: re.Pattern, out: array, work) -> list[
     return in_runs(most, lambda i, w: work(edge(i, w), edge(i + 1, w)), not_, out)
 
 
-def _bounds(values) -> tuple[int, int]:
-    """The least and greatest of values, read twice, or (1, 1), which every range 1..n holds."""
-    return min(values, default=1), max(values, default=1)
-
-
-def _line_chunks(text: str, start: int = 0, stop: int | None = None, size: int = _BLOCK_CHUNK):
+def _line_chunks(text: str, start: int = 0, stop: int | None = None, size: int = _CHUNK):
     """The non-blank lines of text[start:stop], one list per cut of about size characters.
 
-    Each cut ends just after a "\\n", so splitlines reads the lines as in the whole text.
+    Each cut ends just after a line break, so splitlines reads the lines as in the whole text.
     """
     for piece in _pieces(text, start, len(text) if stop is None else stop, _NEWLINE, size):
         yield list(filter(str.strip, piece.splitlines()))
@@ -136,32 +132,8 @@ def _converted(chunks, k: int, symbols: array, memo: _Tokens) -> int | None:
     return seen
 
 
-def _within(values, top: int) -> bool:
-    """Whether every one of values, read twice, lies in 1..top."""
-    least, most = _bounds(values)
-    return 1 <= least and most <= top
-
-
-def _named(chunks, fits) -> tuple[int, object]:
-    """The count of the items in chunks, and the first that fits refuses, or None.
-
-    Each chunk is a list of one cut's rows or values, converted through the
-    file's _Tokens memo as the caller's generator yields it, so int() raises on
-    the first bad token in file order, and only the count and one item are kept.
-    fits decides a whole chunk in bulk; only the first chunk it refuses is
-    searched an item at a time, each item as a chunk of one.  An empty chunk,
-    a cut of blank lines, holds no item to name and is skipped.
-    """
-    seen, first = 0, None
-    for held in chunks:
-        if first is None and held and not fits(held):
-            first = next(item for item in held if not fits([item]))
-        seen += len(held)
-    return seen, first
-
-
 def parse_blocks(text: str) -> BlockFamily:
-    lines = next(filter(None, _line_chunks(text, size=0)), None)  # a "\n" at a time
+    lines = next(filter(None, _line_chunks(text, size=0)), None)  # a line at a time
     if lines is None:
         raise ValueError("empty block file")
     header = lines[0].split()
@@ -191,8 +163,7 @@ def parse_blocks(text: str) -> BlockFamily:
     top = min(n, 2**32 - 1)  # the array's range: a greater symbol is refused even within 1..n
     rows = (list(map(tuple, map(map, repeat(memo.__getitem__), map(str.split, chunk))))
             for chunk in _line_chunks(text, head))
-    _, first = _named(rows, lambda held: set(map(len, held)) <= {k}
-                      and _within(list(chain.from_iterable(held)), top))
+    first = _first_refused(rows, lambda held: _rows_fit(held, k, top))[1]
     _check_block(first, Params(k, top, ell))  # Params(k, n, ell)'s message, if it has one
 
 
@@ -212,20 +183,22 @@ def parse_cubes(text: str) -> CubeSet:
     expected = check_size(f"m*n^d = {m}*{n}^{d}", n, d, factor=m)
     memo, values = _Tokens(), array("I")
 
-    def convert(start: int, stop: int) -> tuple[int, int]:
-        """The least and greatest value so far: never (), so no span ends the runs early."""
-        for piece in _pieces(text, start, stop, _SPACE, _CUBE_CHUNK):
-            values.extend(map(memo.__getitem__, piece.split()))
+    def convert(start: int, stop: int) -> tuple:
+        """The least and greatest value so far; () at a token int() or the array refuses."""
+        try:
+            for piece in _pieces(text, start, stop, _SPACE, _CHUNK):
+                values.extend(map(memo.__getitem__, piece.split()))
+        except (ValueError, OverflowError):  # no int, or one outside 0..2^32-1
+            return ()
         return _bounds(memo.values())
 
-    try:
-        distinct = [v for s in _in_spans(text, header.end(), _SPACE, values, convert) for v in s]
-        seen = len(values)
-    except OverflowError:  # a value outside 0..2^32-1, so outside 1..n whenever m*n^d > 0
+    spans = _in_spans(text, header.end(), _SPACE, values, convert)
+    seen, distinct = len(values), [v for s in spans for v in s]
+    if not all(spans):  # int()'s message, or a value outside 0..2^32-1, so outside 1..n
         del values[:]  # named again below, a chunk at a time
         chunks = (list(map(memo.__getitem__, piece.split()))
-                  for piece in _pieces(text, header.end(), len(text), _SPACE, _CUBE_CHUNK))
-        seen, first = _named(chunks, lambda held: _within(held, n))
+                  for piece in _pieces(text, header.end(), len(text), _SPACE, _CHUNK))
+        seen, first, _ = _first_refused(chunks, lambda held: _within(held, n))
         values = distinct = (first,)  # all the range check below reads
     if seen != expected:
         raise ValueError(f"cube file has {seen} values, expected m*n^d = {expected}")

@@ -735,6 +735,23 @@ def test_damaged_file_parses_in_a_clean_files_memory(monkeypatch, cpus, damage):
     assert damaged_peak <= 1.25 * _clean_peak(parse, clean, cpus)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("end", ["\r", "\u2028"], ids=["CR", "U+2028"])
+def test_every_line_break_cuts_a_block_file(monkeypatch, cpus, end):
+    # a block file is cut at each break splitlines reads: cut at "\n" alone, a
+    # file without one parsed in one piece on one CPU, at 3.1 to 3.8 times the peak
+    monkeypatch.setattr(_runs, "_cpus", lambda: cpus)
+    text = PEAK_BLOCKS.replace("\n", end)
+    tracemalloc.start()
+    try:
+        family = parse_blocks(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * _clean_peak(parse_blocks, PEAK_BLOCKS, cpus)
+    assert family == parse_blocks(PEAK_BLOCKS)
+
+
 @pytest.mark.parametrize("n", [3_000_000, 10**30])
 def test_header_only_cube_file_writes_without_a_row_template(n):
     # the writer's row template has n fields, so it is built only for a row:

@@ -115,7 +115,7 @@ from partite import (
 from partite import _runs, formats
 from partite.cli import format_blocks, format_cubes, parse_blocks, parse_cubes
 from partite.construct import is_prime
-from partite.formats import _BLOCK_CHUNK, _CUBE_CHUNK, _WRITE_CHUNK
+from partite.formats import _CHUNK as _BLOCK_CHUNK, _CHUNK as _CUBE_CHUNK, _WRITE_CHUNK
 from test_cover import brute_force_minimum_cover
 
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=80)

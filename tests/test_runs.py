@@ -230,3 +230,22 @@ def test_a_failure_in_this_process_span_kills_the_children(split, monkeypatch, p
         parse(text)
     assert time.perf_counter() - start < 5
     assert_no_child_left()
+
+
+# a bad token in the last line, the second child's span: the child replies (),
+# which ends the runs, and this process names the token as the serial parse
+# does, without parsing that span again
+@pytest.mark.parametrize("token", ["x", "-3", str(2**32)])
+@PARSES
+def test_a_bad_token_in_a_childs_span_is_replied_as_no_result(
+    split, monkeypatch, parse, text, token
+):
+    text = text[: text.rstrip().rindex(" ") + 1] + token + "\n"
+    with pytest.raises(ValueError) as serial_error:
+        serial(parse, text)
+    seen = replies(monkeypatch)
+    with pytest.raises(ValueError) as split_error:
+        parse(text)
+    assert str(split_error.value) == str(serial_error.value)
+    assert len(seen) == 2 and seen[0] and seen[1] == ()
+    assert_no_child_left()
