@@ -107,7 +107,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     lower = args.n**args.l
     if args.output is not None:  # written first, so a failed write prints nothing on stdout
         Path(args.output).write_text(format_blocks(family))
-    print(f"size={len(family.blocks)} lower={lower} lifted_order={lifted}")
+    print(f"size={len(family._symbols) // args.k} lower={lower} lifted_order={lifted}")
     return 0
 
 

@@ -9,15 +9,16 @@ boundary.  `lift_columns` is the lift's one layout: the cube checks count it,
 it is minsearch's candidate grid and the sorted rows' first columns.
 `_within` is the one test of the symbol range 1..n, and `_first_refused`, which
 decides chunks in bulk and searches only the first that fails, names offenders.
+A `BlockFamily` or `LatinCube` stores its symbols one way, as one array("I"),
+however it was made; `.blocks` and `.table` are built from it on each read.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
-from itertools import combinations, islice
-from operator import itemgetter
+from dataclasses import dataclass, replace
+from itertools import chain, combinations, islice, pairwise
 from typing import Iterable, Sequence
 
 Block = tuple[int, ...]
@@ -26,6 +27,8 @@ IndexSet = tuple[int, ...]
 # Largest count table, coordinate column, cube volume or output symbol count
 # any command allocates; (7, 49, 3) needs 7 * 49^3 = 823,543 output symbols.
 SIZE_LIMIT = 1 << 20
+# Largest symbol a family or a file may hold: the top of an array("I").
+_SYMBOL_CAP = 2**32 - 1
 
 
 def capped_power(base: int, exponent: int, factor: int = 1, limit: int = SIZE_LIMIT) -> int:
@@ -176,13 +179,14 @@ class BlockFamily:
     Canonical form is lexicographically sorted with exact duplicates removed;
     duplicates are representable (they arise transiently during symbol fusion
     and in deliberately broken test inputs) but `canonical()` strips them.
-    A parsed or built family keeps one row-major array("I") and builds
-    `blocks` when first read, then drops the array.
+    Every family holds its rows as one row-major array("I"), k symbols a row,
+    so the constructor refuses a symbol above 2^32 - 1 as a parse does; the
+    family never changes once built, and `blocks` builds the row tuples on
+    each read.
     """
 
     params: Params
     blocks: tuple[Block, ...]
-    _symbols = None  # the parsed array, k symbols a row; not a field
 
     @classmethod
     def _from_symbols(cls, params: Params, symbols, distinct) -> "BlockFamily":
@@ -195,30 +199,30 @@ class BlockFamily:
         return family
 
     def __getattr__(self, name: str):
-        if name != "blocks" or self._symbols is None:
+        if name != "blocks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         symbols = self._symbols  # k symbols a row; an empty array forms no k-long list
-        rows = tuple(zip(*[iter(symbols)] * self.params.k)) if symbols else ()
-        self.__dict__.update(blocks=rows, _symbols=None)  # never both: the array goes
-        return rows
+        return tuple(zip(*[iter(symbols)] * self.params.k)) if symbols else ()
 
     def _column(self, c: int):
-        """Column c (1-based): a strided slice of the array, or the rows' transpose."""
-        symbols, k = self._symbols, self.params.k
-        return list(map(itemgetter(c - 1), self.blocks)) if symbols is None else symbols[c - 1 :: k]
+        """Column c (1-based): a strided slice of the array."""
+        return self._symbols[c - 1 :: self.params.k]
 
     def __post_init__(self) -> None:
-        # decide in bulk; only a family that fails is scanned for its first bad block
-        if not _rows_fit(self.blocks, self.params.k, self.params.n):
+        # decide in bulk; only a family that fails is scanned for its first bad block,
+        # and only a family that passes is packed, the array's range capping 1..n
+        capped = replace(self.params, n=min(self.params.n, _SYMBOL_CAP))
+        if not _rows_fit(self.blocks, capped.k, capped.n):
             for block in self.blocks:
-                _check_block(block, self.params)
+                _check_block(block, capped)
+        self.__dict__["_symbols"] = array("I", chain.from_iterable(self.__dict__.pop("blocks")))
 
     def canonical(self) -> "BlockFamily":
         return BlockFamily(self.params, tuple(sorted(set(self.blocks))))
 
     @property
     def is_canonical(self) -> bool:
-        return all(a < b for a, b in zip(self.blocks, self.blocks[1:]))
+        return all(a < b for a, b in pairwise(self.blocks))
 
 
 @dataclass(frozen=True)
@@ -227,14 +231,14 @@ class LatinCube:
 
     Construction validates shape and symbol range only; the Latin property
     itself is a verification verdict, so non-Latin tables are representable.
-    A parsed or extracted cube keeps one array("I") and builds the `table`
-    tuple when first read; the checks, the lift and the writer read the array.
+    Every cube holds its table as one array("I"), which the checks, the lift
+    and the writer read; the cube never changes once built, and `table`
+    builds the tuple on each read.
     """
 
     d: int
     n: int
     table: tuple[int, ...]
-    _symbols = None  # the array, n^d checked symbols; not a field
 
     @classmethod
     def _from_symbols(cls, d: int, n: int, symbols: array) -> "LatinCube":
@@ -244,15 +248,9 @@ class LatinCube:
         return cube
 
     def __getattr__(self, name: str):
-        if name != "table" or self._symbols is None:
+        if name != "table":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        table = tuple(self._symbols)
-        object.__setattr__(self, "table", table)
-        return table
-
-    def _table(self):
-        """The table as stored: the array, or the tuple of a built cube."""
-        return self.table if self._symbols is None else self._symbols
+        return tuple(self._symbols)
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.n < 1:
@@ -263,10 +261,11 @@ class LatinCube:
         if volume != entries:
             expected = volume if volume <= limit else f"{self.n}^{self.d}"
             raise ValueError(f"table has {entries} entries, expected n^d = {expected}")
-        _check_symbols(self.table, self.n, set(self.table))
+        _check_symbols(self.table, self.n, set(self.table))  # n <= n^d entries fit the array
+        self.__dict__["_symbols"] = array("I", self.__dict__.pop("table"))
 
     def value(self, coords: Sequence[int]) -> int:
-        return self._table()[flatten_coords(coords, self.n)]
+        return self._symbols[flatten_coords(coords, self.n)]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ the prune costs a call.
 
 from __future__ import annotations
 
-from itertools import compress
+from array import array
+from itertools import chain, compress
 from operator import ne
 
 from .construct import _exact_columns, smallest_blocking_prime
@@ -45,12 +46,12 @@ def next_admissible_order(n: int, k: int) -> int:
 
 
 def _fused(columns, n_source: int, params: Params) -> BlockFamily:
-    """The distinct rows of columns over 1..n_source, fused onto 1..params.n and sorted."""
+    """The sorted distinct rows of columns, fused from 1..n_source onto 1..params.n, packed."""
     table = [0, *((v - 1) % params.n + 1 for v in range(1, n_source + 1))]
     rows = sorted(zip(*(map(table.__getitem__, column) for column in columns)))
     del columns  # a prime lifted order's column lists would outlive the sort
-    unique = compress(rows, map(ne, rows, [None, *rows]))
-    return BlockFamily(params, tuple(unique))
+    symbols = array("I", chain.from_iterable(compress(rows, map(ne, rows, chain((None,), rows)))))
+    return BlockFamily._from_symbols(params, symbols, set(symbols))
 
 
 def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
@@ -82,7 +83,8 @@ def build_covering(k: int, n: int, ell: int) -> BlockFamily:
     """A covering family of at most lifting_order(k,n,ell)^ell blocks.
 
     Fuses the exact columns of the next admissible order down to n before
-    their one sort, building no family there.  Where n is admissible (always
+    their one sort, building no family there; the distinct sorted rows go
+    straight into the result's array.  Where n is admissible (always
     for ell = 1) the table is the identity and no exact row repeats: that is
     construct(k, n, ell).
     """
@@ -147,7 +149,7 @@ def exact_cover_size(
             coverage[b] |= 1 << pair
             by_pair[pair].append(b)
 
-    best = len(build_covering(k, n, ell).blocks)  # achievable upper bound
+    best = len(build_covering(k, n, ell)._symbols) // k  # achievable upper bound
     excluded = bytearray(len(coverage))  # blocks an earlier sibling has settled
     nodes = 1  # the root
     exhausted = False

@@ -82,7 +82,7 @@ def lift_cubes(cube_set: CubeSet) -> BlockFamily:
     check_size(f"n^d = {n}^{d}", n, d)
     m = len(cube_set.cubes)
     check_size(f"(m+d)*n^d = {m + d}*{n}^{d}", n, d, factor=m + d)  # the symbols it writes
-    column = lift_columns([cube._table() for cube in cube_set.cubes], d, n)
+    column = lift_columns([cube._symbols for cube in cube_set.cubes], d, n)
     symbols = verify._sorted_rows(column, m + d, d, n)  # sorted only if first-d prefixes collide
     return BlockFamily._from_symbols(Params(m + d, n, d), symbols, set(symbols))
 

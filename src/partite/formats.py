@@ -8,15 +8,16 @@ coordinate fastest; a parse converts the body about 64 KiB of text at a time
 into one array("I"), and each cube keeps its slice.  From _SPLIT_CHARS
 characters on, either body is cut into one span per CPU, each parsed by its own
 process (_runs.in_runs); a span that does not fit the array (a broken line, a
-token int() refuses, a value outside 0..2^32-1) returns (), ending the runs.
-Such a file, or one with a wrong count, is named here by one naming pass
-(core._first_refused) over the same cuts, holding one cut's items at a time;
-this module cuts and converts text, and core decides the range 1..n.
-Both formats are LF-terminated with single spaces and no trailing whitespace,
-so identical objects always serialize to identical bytes.  Both writers read
-one flat run of symbols, write each through a memo of its text ("v ", or "v\\n"
-where it ends a line) and join about 2^13 symbols at a time, so no output
-holds a str per line or a row tuple.
+token int() refuses, a value outside 0..2^32-1) returns () and takes back its
+items, ending the runs.  Such a file, or one with a wrong count, is named here
+by one naming pass (core._first_refused) over the same cuts, holding one cut's
+items at a time; this module cuts and converts text, and core decides the
+range 1..n.  Both formats are LF-terminated with single spaces and no trailing
+whitespace, so identical objects always serialize to identical bytes.  Both
+writers read one flat run of symbols (a family's array, or a cube set's arrays
+chained), write each through a memo of its text ("v ", or "v\\n" where it
+ends a line) and join about 2^13 symbols at a time, so no output holds a str
+per line or a row tuple.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import chain, islice, repeat
 from operator import not_
 
 from ._runs import in_runs
-from .core import BlockFamily, CubeSet, LatinCube, Params, Witness, check_size
+from .core import _SYMBOL_CAP, BlockFamily, CubeSet, LatinCube, Params, Witness, check_size
 from .core import _bounds, _check_block, _check_symbols, _first_refused, _rows_fit, _within
 
 _CUBE_HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)")  # the first four tokens
@@ -78,9 +79,7 @@ def _joined(header: str, width: int, symbols) -> str:
 
 def format_blocks(family: BlockFamily) -> str:
     p, symbols = family.params, family._symbols
-    count = len(family.blocks) if symbols is None else len(symbols) // p.k
-    flat = chain.from_iterable(family.blocks) if symbols is None else symbols  # built rows, or the array
-    return _joined(f"blocks {p.k} {p.n} {p.ell} {count}", p.k, flat)
+    return _joined(f"blocks {p.k} {p.n} {p.ell} {len(symbols) // p.k}", p.k, symbols)
 
 
 def _past(cut: re.Pattern, text: str, at: int) -> int:
@@ -98,13 +97,23 @@ def _pieces(text: str, start: int, stop: int, cut: re.Pattern, size: int):
 
 
 def _in_spans(text: str, start: int, cut: re.Pattern, out: array, work) -> list[tuple]:
-    """in_runs of work(begin, end) on text[start:] in spans, one per CPU from _SPLIT_CHARS."""
+    """in_runs of work(begin, end) on text[start:] in spans, one per CPU from _SPLIT_CHARS.
+
+    A span whose result is () takes back the items it appended to out, so a
+    child that fails replies none.
+    """
 
     def edge(j: int, w: int) -> int:
         return start if j == 0 else _past(cut, text, max(start, len(text) * j // w))
 
+    def run(i: int, w: int) -> tuple:
+        mark = len(out)
+        if not (result := work(edge(i, w), edge(i + 1, w))):
+            del out[mark:]
+        return result
+
     most = 1 if len(text) < _SPLIT_CHARS else len(text)  # in_runs caps it at the CPUs
-    return in_runs(most, lambda i, w: work(edge(i, w), edge(i + 1, w)), not_, out)
+    return in_runs(most, run, not_, out)
 
 
 def _line_chunks(text: str, start: int = 0, stop: int | None = None, size: int = _CHUNK):
@@ -160,7 +169,7 @@ def parse_blocks(text: str) -> BlockFamily:
     # from the "\n"s), a token int() refuses, Params, then the first bad block
     if (found := sum(map(len, _line_chunks(text, head))) if found is None else found) != count:
         raise ValueError(f"header says {count} blocks, file has {found}")
-    top = min(n, 2**32 - 1)  # the array's range: a greater symbol is refused even within 1..n
+    top = min(n, _SYMBOL_CAP)  # the array's range: a greater symbol is refused even within 1..n
     rows = (list(map(tuple, map(map, repeat(memo.__getitem__), map(str.split, chunk))))
             for chunk in _line_chunks(text, head))
     first = _first_refused(rows, lambda held: _rows_fit(held, k, top))[1]
@@ -169,7 +178,7 @@ def parse_blocks(text: str) -> BlockFamily:
 
 def format_cubes(cube_set: CubeSet) -> str:
     d, n, cubes = cube_set.d, cube_set.n, cube_set.cubes
-    return _joined(f"cubes {d} {n} {len(cubes)}", n, chain.from_iterable(c._table() for c in cubes))
+    return _joined(f"cubes {d} {n} {len(cubes)}", n, chain.from_iterable(c._symbols for c in cubes))
 
 
 def parse_cubes(text: str) -> CubeSet:

@@ -197,7 +197,7 @@ def is_latin(cube: LatinCube) -> LatinCheck:
     """True iff every axis-parallel line of the table is a permutation of {1..n}."""
     d = cube.d  # column 1 holds the values, column a + 1 the grid axis a
     lines = (tuple(c for c in range(2, d + 2) if c != a + 1) + (1,) for a in range(1, d + 1))
-    keys = _projection_keys(lift_columns([cube._table()], d, cube.n), cube.n)
+    keys = _projection_keys(lift_columns([cube._symbols], d, cube.n), cube.n)
     witness = _first_offense(keys, d, cube.n, d, {1}, lines)
     if witness is None:
         return LatinCheck(True)
@@ -226,7 +226,7 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
     m = len(cube_set.cubes)
     if m < d:
         raise ValueError(f"orthogonality needs at least d={d} cubes, got {m}")
-    keys = _projection_keys(lift_columns([c._table() for c in cube_set.cubes], d, n), n)
+    keys = _projection_keys(lift_columns([c._symbols for c in cube_set.cubes], d, n), n)
     w = _first_offense(keys, m, n, d, {1})
     if w is None:
         return OrthogonalityCheck(True)
@@ -236,5 +236,5 @@ def are_mutually_orthogonal(cube_set: CubeSet) -> OrthogonalityCheck:
 def is_mutually_invertible(cube_set: CubeSet) -> VerifyReport:
     """Exact iff the lifted family (cube values, then coordinates) is extendable."""
     d, n = cube_set.d, cube_set.n
-    keys = _projection_keys(lift_columns([c._table() for c in cube_set.cubes], d, n), n)
+    keys = _projection_keys(lift_columns([c._symbols for c in cube_set.cubes], d, n), n)
     return _report(_first_offense(keys, len(cube_set.cubes) + d, n, d, {1}))

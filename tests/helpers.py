@@ -203,7 +203,7 @@ def lift_cubes_reference(cube_set: CubeSet) -> BlockFamily:
     check_size(f"n^d = {n}^{d}", n, d)
     m = len(cube_set.cubes)
     check_size(f"(m+d)*n^d = {m + d}*{n}^{d}", n, d, factor=m + d)
-    column = lift_columns([cube._table() for cube in cube_set.cubes], d, n)
+    column = lift_columns([cube._symbols for cube in cube_set.cubes], d, n)
     return BlockFamily(Params(m + d, n, d), tuple(sorted(zip(*map(column, range(1, m + d + 1))))))
 
 

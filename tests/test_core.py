@@ -1,4 +1,6 @@
+import re
 import time
+from array import array
 from itertools import combinations, product
 
 import pytest
@@ -10,11 +12,13 @@ from partite import (
     Params,
     construct,
     enumerate_index_sets,
+    extract_cubes,
     flatten_coords,
     unflatten_index,
     validate_params,
 )
 from partite.core import SIZE_LIMIT, _index_sets, capped_power, check_size
+from partite.formats import parse_blocks
 
 
 def test_validate_params_accepts_valid_triple():
@@ -96,12 +100,36 @@ def test_block_family_rejects_out_of_range_symbol():
         BlockFamily(Params(2, 2, 2), ((1, 3),))
 
 
-def test_reading_blocks_drops_the_built_array():
+def test_a_family_holds_only_its_array():
     family = construct(5, 7, 3)
     columns = [list(family._column(c)) for c in range(1, 6)]
     assert family.blocks == tuple(zip(*columns))
-    assert family._symbols is None  # rows and array are never both held
+    assert "blocks" not in vars(family)  # rows are built on each read, never kept
     assert [list(family._column(c)) for c in range(1, 6)] == columns
+    copy = BlockFamily(family.params, family.blocks)
+    assert set(vars(copy)) == {"params", "_symbols"}
+    assert copy._symbols == family._symbols
+
+
+def test_a_cube_holds_only_its_array():
+    table = (1, 2, 3, 2, 3, 1, 3, 1, 2)
+    cube = LatinCube(2, 3, table)
+    assert set(vars(cube)) == {"d", "n", "_symbols"}
+    assert cube._symbols == array("I", table)
+    assert cube.table == table and cube.value((2, 3)) == 1
+    assert set(vars(cube)) == {"d", "n", "_symbols"}  # the tuple is built on each read
+    extracted = extract_cubes(construct(4, 5, 2)).cubes[0]
+    copy = LatinCube(extracted.d, extracted.n, extracted.table)
+    assert copy == extracted and copy._symbols == extracted._symbols
+    assert "table" not in vars(extracted)
+
+
+def test_block_family_refuses_a_symbol_past_32_bits_as_a_parse_does():
+    message = "symbol 4294967296 outside 1..4294967295 in block (1, 4294967296)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BlockFamily(Params(2, 2**32 + 1, 1), ((1, 2**32),))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_blocks(f"blocks 2 {2**32 + 1} 1 1\n1 {2**32}\n")
 
 
 def test_latin_cube_value_accessor():

@@ -45,10 +45,21 @@ def serial(parse, text):
         return parse(text)
 
 
-def replies(monkeypatch) -> list:
-    """The list that each child's reply, as this process reads it, is appended to."""
+def replies(monkeypatch, items: list | None = None) -> list:
+    """The list that each child's reply, as this process reads it, is appended to.
+
+    If given, items gets the count of items each reply appended to out.
+    """
     seen, real_reply = [], _runs._reply
-    monkeypatch.setattr(_runs, "_reply", lambda *args: seen.append(real_reply(*args)) or seen[-1])
+
+    def reply(read, out):
+        mark = len(out)
+        seen.append(real_reply(read, out))
+        if items is not None:
+            items.append(len(out) - mark)
+        return seen[-1]
+
+    monkeypatch.setattr(_runs, "_reply", reply)
     return seen
 
 
@@ -232,9 +243,9 @@ def test_a_failure_in_this_process_span_kills_the_children(split, monkeypatch, p
     assert_no_child_left()
 
 
-# a bad token in the last line, the second child's span: the child replies (),
-# which ends the runs, and this process names the token as the serial parse
-# does, without parsing that span again
+# a bad token in the last line, the second child's span: the child replies ()
+# and none of the items it converted, which ends the runs, and this process
+# names the token as the serial parse does, without parsing that span again
 @pytest.mark.parametrize("token", ["x", "-3", str(2**32)])
 @PARSES
 def test_a_bad_token_in_a_childs_span_is_replied_as_no_result(
@@ -243,9 +254,11 @@ def test_a_bad_token_in_a_childs_span_is_replied_as_no_result(
     text = text[: text.rstrip().rindex(" ") + 1] + token + "\n"
     with pytest.raises(ValueError) as serial_error:
         serial(parse, text)
-    seen = replies(monkeypatch)
+    items = []
+    seen = replies(monkeypatch, items)
     with pytest.raises(ValueError) as split_error:
         parse(text)
     assert str(split_error.value) == str(serial_error.value)
     assert len(seen) == 2 and seen[0] and seen[1] == ()
+    assert items[0] > 0 and items[1] == 0  # the failing span replied none of its items
     assert_no_child_left()
