@@ -8,6 +8,9 @@ prime >= k.  Composite admissible orders are assembled from their prime
 factors with a Kronecker-style product on symbols.
 Every builder works in columns: `construct` scatters them once into one sorted
 row-major array (`verify._sorted_rows`), which backs one range-checked family.
+`_exact_columns` can fold its symbols onto a smaller order where its last step
+builds each run, which is how `cover.build_covering` gets its columns, and
+`product_decomposition` sorts its rows through `core._sorted_symbols`.
 """
 
 from __future__ import annotations
@@ -60,53 +63,64 @@ def smallest_blocking_prime(n: int, k: int) -> int | None:
     return next((d for d in range(2, k) if n % d == 0), None)
 
 
-def _vandermonde_columns(k: int, p: int, ell: int) -> list[list[int]]:
-    """The columns of vandermonde_blocks(k, p, ell): row r is the r-th (x_1..x_ell).
+def _vandermonde_columns(k: int, p: int, ell: int, top: int) -> list:
+    """The columns of vandermonde_blocks(k, p, ell) folded onto 1..top, as iterators.
 
-    Each column is built one Lagrange step at a time.  A step replaces every
-    symbol x by its p successors (x - 1 + L_i(c) * a mod p) + 1, a row built
-    once for each symbol the column holds, so the first step builds one row.
+    Row r is the r-th (x_1..x_ell).  Each column is built one Lagrange step
+    at a time.  A step replaces every symbol x by its p successors
+    (x - 1 + L_i(c) * a mod p) + 1, a run built once for each symbol the
+    column holds, so the first step builds one run.  The last step folds its
+    runs, v -> (v - 1) mod top + 1, and chains them.
     """
     # each i - j is a unit mod p, as 0 < |i - j| < ell <= p
     columns = []
     for c in range(1, k + 1):
         column = [1]
-        for i in range(1, ell + 1):
+        for i, fold in enumerate([p] * (ell - 1) + [top], start=1):
             step = prod((c - j) * pow(i - j, -1, p) for j in range(1, ell + 1) if j != i) % p
-            successors = {x: [(x - 1 + step * a) % p + 1 for a in range(p)] for x in set(column)}
-            column = list(chain.from_iterable(map(successors.__getitem__, column)))
+            runs = {x: [(x - 1 + step * a) % p % fold + 1 for a in range(p)] for x in set(column)}
+            column = (list if i < ell else iter)(chain.from_iterable(map(runs.__getitem__, column)))
         columns.append(column)
     return columns
 
 
-def _product_columns(left, right, p: int) -> list:
-    """Iterator columns of the product of left (order p) and right; input columns are reread."""
-    # row (i, j) pairs left row i with right row j: a column chains the right column
-    # shifted by each left symbol v, built once per distinct v
+def _product_columns(left, right, p: int, top: int) -> list:
+    """Iterator columns of the product of left (order p) and right, folded onto 1..top.
+
+    Input columns are reread.  Row (i, j) pairs left row i with right row j: a
+    column chains the right column shifted by each left symbol v and folded,
+    a run built once per distinct v.
+    """
     columns = []
-    for left_column, right_column in zip(left, right):
-        shifted = {v: [v + (w - 1) * p for w in right_column] for v in set(left_column)}
+    for left_column, runs in zip(left, right):
+        shifted = {v: [(v - 1 + (w - 1) * p) % top + 1 for w in runs] for v in set(left_column)}
         columns.append(chain.from_iterable(map(shifted.__getitem__, left_column)))
     return columns
 
 
-def _exact_columns(k: int, n: int, ell: int) -> list:
-    """construct(k, n, ell)'s columns; their rows come in no particular order."""
+def _exact_columns(k: int, n: int, ell: int, top: int | None = None) -> list:
+    """construct(k, n, ell)'s columns folded onto 1..top (by default n), rows in no order.
+
+    The fold, v -> (v - 1) mod top + 1, is applied where the last step builds
+    each run once per distinct symbol: the last Lagrange step of a prime n,
+    else the last product's shifted runs.  So no pass maps every symbol.  The
+    columns are iterators, except the ranges (or folded lists) of ell = 1 or n = 1.
+    """
     check_size(f"k*n^l = {k}*{n}^{ell}", n, ell, factor=k)
+    top = n if top is None else top
     if ell == 1 or n == 1:
-        return [range(1, n + 1)] * k
+        return [range(1, n + 1) if top == n else [v % top + 1 for v in range(n)]] * k
     if n < k:
         raise ValueError(f"n >= k required (n={n}, k={k})")
     blocking = smallest_blocking_prime(n, k)
     if blocking is not None:
         raise ValueError(f"prime {blocking} < k={k} divides n={n}")
-    # fold over the primes of n >= k >= 2 in increasing order, the left order multiplying up
-    factors = chain.from_iterable(
-        [(p, _vandermonde_columns(k, p, ell))] * e for p, e in factorize(n).factors)
-    order, columns = next(factors)
-    for p, right in factors:  # only the last product's columns stay iterators
-        columns, order = _product_columns(map(list, columns), right, order), order * p
-    return columns
+    # the product folds n's primes in increasing order, so the largest, q, comes last
+    q = factorize(n).factors[-1][0]
+    if q == n:
+        return _vandermonde_columns(k, n, ell, top)
+    right = map(list, _vandermonde_columns(k, q, ell, q))
+    return _product_columns(map(list, _exact_columns(k, n // q, ell)), right, n // q, top)
 
 
 def vandermonde_blocks(k: int, n: int, ell: int) -> BlockFamily:
@@ -136,7 +150,8 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
     Pairs every left block with every right block; the combined symbol at
     colour i is (w_i - 1)*p + v_i, splitting each symbol of the product order
     into a (left, right) residue pair.  Exactness of both inputs is assumed,
-    not re-verified.  One sort orders the zipped blocks of _product_columns.
+    not re-verified.  One row sort (`core._sorted_symbols`) orders the rows of
+    _product_columns; repeated rows are kept.
     """
     if left.params.k != right.params.k:
         raise ValueError(f"k mismatch: {left.params.k} vs {right.params.k}")
@@ -145,7 +160,7 @@ def product_decomposition(left: BlockFamily, right: BlockFamily) -> BlockFamily:
     p = left.params.n
     params = Params(left.params.k, p * right.params.n, left.params.ell)
     columns = (map(family._column, range(1, params.k + 1)) for family in (left, right))
-    return BlockFamily(params, tuple(sorted(zip(*_product_columns(*columns, p)))))
+    return BlockFamily._sorted(params, _product_columns(*columns, p, params.n))
 
 
 def construct(k: int, n: int, ell: int) -> BlockFamily:

@@ -9,6 +9,8 @@ boundary.  `lift_columns` is the lift's one layout: the cube checks count it,
 it is minsearch's candidate grid and the sorted rows' first columns.
 `_within` is the one test of the symbol range 1..n, and `_first_refused`, which
 decides chunks in bulk and searches only the first that fails, names offenders.
+`_sorted_symbols` is the one row sort: it sorts rows as big-endian byte lines,
+for the covers, canonical form, the product and the lift's colliding rows.
 A `BlockFamily` or `LatinCube` stores its symbols one way, as one array("I"),
 however it was made; `.blocks` and `.table` are built from it on each read.
 """
@@ -16,9 +18,11 @@ however it was made; `.blocks` and `.table` are built from it on each read.
 from __future__ import annotations
 
 import enum
+import sys
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, islice, pairwise
+from itertools import chain, combinations, compress, islice, pairwise
+from struct import Struct
 from typing import Iterable, Sequence
 
 Block = tuple[int, ...]
@@ -118,6 +122,26 @@ def lift_columns(tables: Sequence[Sequence[int]], d: int, n: int):
         array("I", (x,)).tobytes() * n ** (d + m - c) for x in range(1, n + 1))) * n ** (c - m - 1)
 
 
+def _sorted_symbols(columns, k: int, unique: bool = False) -> array:
+    """The rows of k equal-length columns, sorted, repeats dropped if unique, as one array.
+
+    Each row is packed into one bytes line of k big-endian 4-byte fields, which
+    compare as its tuple does for every symbol up to 2^32 - 1, and the lines
+    are sorted.  They are joined back into one row-major array("I") at most
+    4,096 at a time: one join over them all would hold a buffer view per line.
+    """
+    lines = sorted(map(Struct(">%dI" % k).pack, *columns))
+    kept = iter(lines)
+    if unique:  # a sorted line equal to the one before it is a repeat
+        kept = compress(lines, map(bytes.__ne__, lines, chain((b"",), lines)))
+    symbols = array("I")
+    for joined in iter(lambda: b"".join(islice(kept, 4096)), b""):
+        symbols.frombytes(joined)
+    if sys.byteorder == "little":
+        symbols.byteswap()
+    return symbols
+
+
 def _bounds(values) -> tuple[int, int]:
     """The least and greatest of values, read twice, or (1, 1), which every range 1..n holds."""
     return min(values, default=1), max(values, default=1)
@@ -198,6 +222,16 @@ class BlockFamily:
             _check_block(tuple(symbols[i * params.k : (i + 1) * params.k]), params)
         return family
 
+    @classmethod
+    def _sorted(cls, params: Params, columns, unique: bool = False) -> "BlockFamily":
+        """The family of the rows of columns, sorted by _sorted_symbols; unique drops repeats.
+
+        The symbols must lie in 1..n; that is still decided once, on the sorted
+        array's distinct symbols.
+        """
+        symbols = _sorted_symbols(columns, params.k, unique)
+        return cls._from_symbols(params, symbols, set(symbols))
+
     def __getattr__(self, name: str):
         if name != "blocks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -218,7 +252,7 @@ class BlockFamily:
         self.__dict__["_symbols"] = array("I", chain.from_iterable(self.__dict__.pop("blocks")))
 
     def canonical(self) -> "BlockFamily":
-        return BlockFamily(self.params, tuple(sorted(set(self.blocks))))
+        return self._sorted(self.params, map(self._column, range(1, self.params.k + 1)), True)
 
     @property
     def is_canonical(self) -> bool:

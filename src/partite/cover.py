@@ -1,9 +1,11 @@
 """Covering families for orders where an exact decomposition is out of reach.
 
-The pipeline lifts n to the next admissible order, builds exact columns there
-and fuses their symbols down before one sort; the result covers every
-projection at least once and overshoots n^ell by at most the lift.  At an
-admissible order the fuse table is the identity: the cover is exact.
+The pipeline lifts n to the next admissible order and builds the exact columns
+there with their symbols already fused down to n: the fold is applied where
+the construction's last step builds each run, never symbol by symbol.  One
+row sort on big-endian byte lines then drops the repeated rows.  The result
+covers every projection at least once and overshoots n^ell by at most the
+lift.  At an admissible order the fold is the identity: the cover is exact.
 
 For tiny instances (n^k <= SEARCH_VOLUME_GUARD) a branch-and-bound search
 gives the exact minimum covering size: the covering-array number.  It keeps
@@ -16,10 +18,6 @@ the prune costs a call.
 """
 
 from __future__ import annotations
-
-from array import array
-from itertools import chain, compress
-from operator import ne
 
 from .construct import _exact_columns, smallest_blocking_prime
 from .core import BlockFamily, Params, capped_power, check_size, enumerate_index_sets, lift_columns
@@ -45,29 +43,23 @@ def next_admissible_order(n: int, k: int) -> int:
     return candidate
 
 
-def _fused(columns, n_source: int, params: Params) -> BlockFamily:
-    """The sorted distinct rows of columns, fused from 1..n_source onto 1..params.n, packed."""
-    table = [0, *((v - 1) % params.n + 1 for v in range(1, n_source + 1))]
-    rows = sorted(zip(*(map(table.__getitem__, column) for column in columns)))
-    del columns  # a prime lifted order's column lists would outlive the sort
-    symbols = array("I", chain.from_iterable(compress(rows, map(ne, rows, chain((None,), rows)))))
-    return BlockFamily._from_symbols(params, symbols, set(symbols))
-
-
 def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
     """Fold symbols of an exact family onto {1..n_target} and deduplicate.
 
     The fusion map v -> ((v-1) mod n_target) + 1 is surjective and balanced
     and fixes symbols already in range, so every projection tuple over the
     target order stays covered by the image of its exact preimage block.
-    Any family is accepted; its columns fold as build_covering's do.
+    Any family is accepted.  Its columns hold no runs to fold, so they are
+    mapped through one fold table, then sorted as build_covering's rows are.
     """
     p = family.params
     if n_target < 1:
         raise ValueError(f"n_target >= 1 required (n_target={n_target})")
     if n_target > p.n:
         raise ValueError(f"cannot fuse order {p.n} up to {n_target}")
-    return _fused(map(family._column, range(1, p.k + 1)), p.n, Params(p.k, n_target, p.ell))
+    table = [0, *((v - 1) % n_target + 1 for v in range(1, p.n + 1))]
+    columns = (map(table.__getitem__, family._column(c)) for c in range(1, p.k + 1))
+    return BlockFamily._sorted(Params(p.k, n_target, p.ell), columns, True)
 
 
 def lifting_order(k: int, n: int, ell: int) -> int:
@@ -82,14 +74,15 @@ def lifting_order(k: int, n: int, ell: int) -> int:
 def build_covering(k: int, n: int, ell: int) -> BlockFamily:
     """A covering family of at most lifting_order(k,n,ell)^ell blocks.
 
-    Fuses the exact columns of the next admissible order down to n before
-    their one sort, building no family there; the distinct sorted rows go
-    straight into the result's array.  Where n is admissible (always
-    for ell = 1) the table is the identity and no exact row repeats: that is
-    construct(k, n, ell).
+    Builds the exact columns of the next admissible order with their symbols
+    folded down to n as each run is built (`construct._exact_columns`), then
+    sorts the rows once as big-endian byte lines and drops the repeats
+    (`BlockFamily._sorted`): no family is built at the lifted order, and no
+    row tuple.  Where n is admissible (always for ell = 1) the fold is the
+    identity and no exact row repeats: that is construct(k, n, ell).
     """
     n_lift = lifting_order(k, n, ell)
-    return _fused(_exact_columns(k, n_lift, ell), n_lift, Params(k, n, ell))
+    return BlockFamily._sorted(Params(k, n, ell), _exact_columns(k, n_lift, ell, n), True)
 
 
 def exact_cover_size(

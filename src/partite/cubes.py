@@ -6,7 +6,7 @@ by their symbols at its positions and slices the free columns out as tables.
 The two are inverse at the last ell positions, extraction's default.  Both
 sort by scattering each column at its rows' keys in the kernel's projection
 (`verify._sorted_rows`); only a lift whose first d columns are not a bijection
-is zipped and sorted.
+goes to the one row sort on big-endian byte lines (`core._sorted_symbols`).
 """
 
 from __future__ import annotations

@@ -27,13 +27,13 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from math import comb
 from operator import setitem
 
 from ._runs import in_runs
 from .core import BlockFamily, CubeSet, LatinCube, Verdict, VerifyReport, Witness
-from .core import _index_sets, check_size, lift_columns, unflatten_index
+from .core import _index_sets, _sorted_symbols, check_size, lift_columns, unflatten_index
 
 # rows x subsets below which one process scans them all: under it a fork and
 # the children's own column packing cost about what the split saves (measured
@@ -74,14 +74,15 @@ def _sorted_rows(column, k: int, w: int, n: int) -> array:
     check_size) sort by them alone: those become the grid axes, and each later
     column is scattered by its keys there, so every column is read once.
     Otherwise, and for n = 1 or fewer rows than columns, the columns are read
-    again, zipped and sorted: a column costs the scatter about a microsecond
-    however short it is.
+    again and go to the one row sort, `core._sorted_symbols`, which keeps every
+    row (a lift with colliding first columns has no repeated row): a column
+    costs the scatter about a microsecond however short it is.
     """
     size = n**w
     at = _projection_keys(column, n)(range(1, w + 1)) if 1 < n and k <= size else ()
     offset = (size - 1) // max(n - 1, 1)  # where the keys start, as in _scan
     if len(at) != size or not _every_cell(at, offset, size):
-        return array("I", chain.from_iterable(sorted(zip(*map(column, range(1, k + 1))))))
+        return _sorted_symbols(map(column, range(1, k + 1)), k)
     grid, symbols = lift_columns([], w, n), array("I", (0,)) * (k * size)
     placed = array("I", (0,)) * (offset + size)  # each column fills all of placed[offset:]
     for c in range(1, k + 1):

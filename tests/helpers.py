@@ -39,12 +39,12 @@ from partite.cover import DEFAULT_BUDGET, SEARCH_VOLUME_GUARD
 
 def first_projection_offense(family: BlockFamily, allowed=(1,)):
     """First (positions, values, capped hit count) with count not in allowed, or None."""
-    k, n, ell = family.params.k, family.params.n, family.params.ell
+    k, n, ell, blocks = family.params.k, family.params.n, family.params.ell, family.blocks
     for positions in combinations(range(1, k + 1), ell):
         for values in product(range(1, n + 1), repeat=ell):
             hits = sum(
                 1
-                for block in family.blocks
+                for block in blocks
                 if all(block[s - 1] == v for s, v in zip(positions, values))
             )
             if min(hits, 2) not in allowed:
@@ -218,21 +218,24 @@ def extract_cubes_reference(family: BlockFamily, positions) -> CubeSet:
     return CubeSet(ell, n, tuple(LatinCube(ell, n, table) for table in tables))
 
 
-def _cube_value(cube: LatinCube, coords) -> int:
-    """Table entry at 1-based coords, last coordinate fastest."""
+def _cube_value(table, n: int, coords) -> int:
+    """Entry of a table of order n at 1-based coords, last coordinate fastest.
+
+    The callers read each cube's table once: every read of .table builds it.
+    """
     flat = 0
     for x in coords:
-        flat = flat * cube.n + (x - 1)
-    return cube.table[flat]
+        flat = flat * n + (x - 1)
+    return table[flat]
 
 
 def first_latin_offense(cube: LatinCube):
     """First (axis, fixed other coordinates) whose line is not a permutation, or None."""
-    d, n = cube.d, cube.n
+    d, n, table = cube.d, cube.n, cube.table
     for axis in range(1, d + 1):
         for fixed in product(range(1, n + 1), repeat=d - 1):
             line = [
-                _cube_value(cube, fixed[: axis - 1] + (j,) + fixed[axis - 1 :])
+                _cube_value(table, n, fixed[: axis - 1] + (j,) + fixed[axis - 1 :])
                 for j in range(1, n + 1)
             ]
             if sorted(line) != list(range(1, n + 1)):
@@ -242,14 +245,14 @@ def first_latin_offense(cube: LatinCube):
 
 def first_orthogonal_offense(cube_set: CubeSet):
     """First (1-based cube subset, image, capped hit count) with count != 1, or None."""
-    d, n, cubes = cube_set.d, cube_set.n, cube_set.cubes
+    d, n, tables = cube_set.d, cube_set.n, [cube.table for cube in cube_set.cubes]
     domain = list(product(range(1, n + 1), repeat=d))
-    for subset in combinations(range(1, len(cubes) + 1), d):
+    for subset in combinations(range(1, len(tables) + 1), d):
         for image in product(range(1, n + 1), repeat=d):
             hits = sum(
                 1
                 for x in domain
-                if all(_cube_value(cubes[i - 1], x) == v for i, v in zip(subset, image))
+                if all(_cube_value(tables[i - 1], n, x) == v for i, v in zip(subset, image))
             )
             if hits != 1:
                 return subset, image, min(hits, 2)
@@ -258,12 +261,12 @@ def first_orthogonal_offense(cube_set: CubeSet):
 
 def lifted_family(cube_set: CubeSet) -> BlockFamily:
     """The lift built point by point: cube values at x, then x, for every x."""
-    d, n, cubes = cube_set.d, cube_set.n, cube_set.cubes
+    d, n, tables = cube_set.d, cube_set.n, [cube.table for cube in cube_set.cubes]
     blocks = tuple(
-        tuple(_cube_value(cube, x) for cube in cubes) + x
+        tuple(_cube_value(table, n, x) for table in tables) + x
         for x in product(range(1, n + 1), repeat=d)
     )
-    return BlockFamily(Params(len(cubes) + d, n, d), blocks)
+    return BlockFamily(Params(len(tables) + d, n, d), blocks)
 
 
 def extracted_cubes(family: BlockFamily, positions) -> CubeSet:
@@ -320,9 +323,9 @@ def format_cubes_reference(cube_set: CubeSet) -> str:
     """The cube file, one str() per value, n values a line."""
     d, n = cube_set.d, cube_set.n
     lines = [f"cubes {d} {n} {len(cube_set.cubes)}"]
-    for cube in cube_set.cubes:
-        for start in range(0, len(cube.table), n):
-            lines.append(" ".join(str(v) for v in cube.table[start : start + n]))
+    for table in (cube.table for cube in cube_set.cubes):
+        for start in range(0, len(table), n):
+            lines.append(" ".join(str(v) for v in table[start : start + n]))
     return "\n".join(lines) + "\n"
 
 
