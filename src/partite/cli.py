@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import cover, cubes, verify
 from .construct import construct
-from .core import BlockFamily, CubeSet, Verdict, VerifyReport
+from .core import BlockFamily, CubeSet, Witness
 from .formats import format_blocks, format_cubes, format_witness, parse_blocks, parse_cubes
 
 
@@ -23,9 +23,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_line(report: VerifyReport, *passing: Verdict) -> str | None:
-    ok = report.verdict in (Verdict.EXACT, *passing)
-    return None if ok else format_witness(report.witness)
+def _witness_line(witness: Witness | None) -> str | None:
+    return None if witness is None else format_witness(witness)
 
 
 def _latin_line(cube_set: CubeSet) -> str | None:
@@ -67,13 +66,14 @@ _BLOCKS, _CUBES = (lambda t: parse_blocks(t)), (lambda t: parse_cubes(t))
 # line, or None when it holds)
 _CHECKS = {
     "verify": {
-        "exact": (_BLOCKS, lambda f: _witness_line(verify.is_decomposition(f))),
-        "cover": (_BLOCKS, lambda f: _witness_line(verify.is_covering(f), Verdict.COVER_ONLY)),
+        # an Exact report carries no witness, and neither does a family with no MISS
+        "exact": (_BLOCKS, lambda f: _witness_line(verify.is_decomposition(f).witness)),
+        "cover": (_BLOCKS, lambda f: _witness_line(verify._first_miss(f))),
     },
     "cubes": {
         "latin": (_CUBES, _latin_line),
         "orthogonal": (_CUBES, _orthogonal_line),
-        "invertible": (_CUBES, lambda c: _witness_line(verify.is_mutually_invertible(c))),
+        "invertible": (_CUBES, lambda c: _witness_line(verify.is_mutually_invertible(c).witness)),
     },
 }
 

@@ -174,10 +174,14 @@ def _first_refused(chunks, fits) -> tuple[int, object, int | None]:
     return seen, first, at
 
 
-def _first_outside(symbols, n: int) -> int:
-    """Index of the first of symbols outside 1..n, which must hold one, 4,096 symbols a chunk."""
-    chunks = (symbols[at : at + 4096] for at in range(0, len(symbols), 4096))
-    return _first_refused(chunks, lambda held: _within(held, n))[2]
+def _first_outside(symbols, n: int, start: int = 0) -> int:
+    """Index of the first of symbols outside 1..n, which must hold one from start on.
+
+    The search reads 4,096 symbols a chunk from start, a symbol the caller knows
+    is preceded by none outside 1..n.
+    """
+    chunks = (symbols[at : at + 4096] for at in range(start, len(symbols), 4096))
+    return start + _first_refused(chunks, lambda held: _within(held, n))[2]
 
 
 def _check_symbols(symbols, n: int, distinct) -> None:
@@ -213,12 +217,16 @@ class BlockFamily:
     blocks: tuple[Block, ...]
 
     @classmethod
-    def _from_symbols(cls, params: Params, symbols, distinct) -> "BlockFamily":
-        """The family whose rows are symbols, k at a time; distinct holds each value symbols do."""
+    def _from_symbols(cls, params: Params, symbols, distinct, start: int = 0) -> "BlockFamily":
+        """The family whose rows are symbols, k at a time; distinct holds each value symbols do.
+
+        No symbol before start, a row's first, may lie outside 1..n: a refusal
+        searches from there.
+        """
         family = object.__new__(cls)
         family.__dict__.update(params=params, _symbols=symbols)
         if not _within(distinct, params.n):
-            i = _first_outside(symbols, params.n) // params.k
+            i = _first_outside(symbols, params.n, start) // params.k
             _check_block(tuple(symbols[i * params.k : (i + 1) * params.k]), params)
         return family
 

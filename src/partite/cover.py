@@ -50,14 +50,15 @@ def fuse(family: BlockFamily, n_target: int) -> BlockFamily:
     and fixes symbols already in range, so every projection tuple over the
     target order stays covered by the image of its exact preimage block.
     Any family is accepted.  Its columns hold no runs to fold, so they are
-    mapped through one fold table, then sorted as build_covering's rows are.
+    mapped through one fold table, built up to the largest symbol the family
+    holds, not its declared order, then sorted as build_covering's rows are.
     """
     p = family.params
     if n_target < 1:
         raise ValueError(f"n_target >= 1 required (n_target={n_target})")
     if n_target > p.n:
         raise ValueError(f"cannot fuse order {p.n} up to {n_target}")
-    table = [0, *((v - 1) % n_target + 1 for v in range(1, p.n + 1))]
+    table = [0, *((v - 1) % n_target + 1 for v in range(1, max(family._symbols, default=0) + 1))]
     columns = (map(table.__getitem__, family._column(c)) for c in range(1, p.k + 1))
     return BlockFamily._sorted(Params(p.k, n_target, p.ell), columns, True)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, takewhile
 from operator import not_
 
 from ._runs import in_runs
@@ -164,7 +164,11 @@ def parse_blocks(text: str) -> BlockFamily:
         spans = _in_spans(text, head, _NEWLINE, symbols, convert)
         if all(spans) and sum(s[0] for s in spans) == count:
             distinct = [v for s in spans for v in s[1:]]
-            return BlockFamily._from_symbols(Params(k, n, ell), symbols, distinct)
+            # a span's bounds are its own symbols' (children fork before this process
+            # converts any), or for a span redone here also earlier spans': so the
+            # first span whose bounds leave 1..n holds the first symbol outside it
+            start = k * sum(s[0] for s in takewhile(lambda s: _within(s[1:], n), spans))
+            return BlockFamily._from_symbols(Params(k, n, ell), symbols, distinct, start)
     # named in parse_blocks_reference's order: the count (which blank lines can hide
     # from the "\n"s), a token int() refuses, Params, then the first bad block
     if (found := sum(map(len, _line_chunks(text, head))) if found is None else found) != count:

@@ -6,12 +6,15 @@ first value tuple (cell) whose hit count, capped at 2, is not allowed.
 per row, so a subset's keys take a few whole-column int operations; the same
 keys serve minsearch's pair ids and the column scatter that puts the rows of
 `construct`, the lift and extraction in order (`_sorted_rows`).  A mark pass
-decides each subset (every cell hit, and as many rows as cells or 2 allowed);
-only a failing subset runs the capped counting loop, which locates the
-witness.  The checks differ only in their columns: the block positions
-(exact, cover), or `core.lift_columns`, the lift's layout (tables, then grid
-axes): the grid axes then the value (Latin), the cube tables (orthogonal), or
-the whole lift (invertible; by the main theorem, exactness of the lift).
+decides each subset (every cell hit, and as many rows as cells or 2 allowed;
+a subset allowing only 1 over any other row count fails without one); only a
+failing subset runs the capped counting loop, which locates the witness.  The
+checks differ only in their columns: the block positions (exact, cover), or
+`core.lift_columns`, the lift's layout (tables, then grid axes): the grid axes
+then the value (Latin), the cube tables (orthogonal), or the whole lift
+(invertible; by the main theorem, exactness of the lift).  `verify --mode
+cover` prints OK or the first MISS, so it runs one pass, `_first_miss`; only
+`is_covering` looks for a DUP, and only in an over-covered family.
 Witness rule: subsets in the order given, cells in row-major order, so a
 witness is the lexicographically first offending (subset, value tuple)
 whatever the row order.
@@ -99,8 +102,9 @@ def _scan(keys, subsets, n: int, width: int, allowed: set[int]) -> Witness | Non
     offset = (size - 1) // (n - 1)
     for subset in subsets:
         at = keys(subset)
-        # every cell hit by exactly size rows means hit once each (pigeonhole)
-        if _every_cell(at, offset, size) and (len(at) == size or repeats_allowed):
+        # every cell hit by exactly size rows means hit once each (pigeonhole); with
+        # only 1 allowed, any other row count fails without a mark pass
+        if (len(at) == size or repeats_allowed) and _every_cell(at, offset, size):
             continue
         counts = bytearray(offset + size)
         for key in at:
@@ -170,19 +174,30 @@ def is_decomposition(family: BlockFamily) -> VerifyReport:
     return is_l_extendable(family)
 
 
+def _first_miss(family: BlockFamily, keys=None) -> Witness | None:
+    """The first uncovered cell of family's projections, or None: one kernel pass over keys.
+
+    keys is _block_keys(family) unless given.  `verify --mode cover` prints this
+    witness, or OK for an exact and an over-covered family alike.
+    """
+    p = family.params
+    return _first_offense(keys or _block_keys(family), p.k, p.n, p.ell, {1, 2})
+
+
 def is_covering(family: BlockFamily) -> VerifyReport:
     """CoverOnly (or Exact) iff every value tuple at every index set is hit at least once.
 
     A Fail witness is the first uncovered pair; a CoverOnly report carries the
-    first multiply-covered pair as an explanatory witness.
+    first multiply-covered pair as an explanatory witness.  One pass allowing
+    counts 1 and 2 finds the first uncovered pair.  Without one, n^ell rows hit
+    every cell once (pigeonhole): Exact.  More rows put a DUP in the first index
+    set, where a pass allowing only 1 stops.
     """
     p, keys = family.params, _block_keys(family)  # both calls share each column's packing
-    first = _first_offense(keys, p.k, p.n, p.ell, {1})
-    if first is None or first.multiplicity == 0:  # Exact, or the first MISS
-        return _report(first)
-    # the first DUP; by pigeonhole no index set before its own has a MISS
-    miss = _first_offense(keys, p.k, p.n, p.ell, {1, 2})
-    return _report(miss) if miss is not None else _report(first, Verdict.COVER_ONLY)
+    miss = _first_miss(family, keys)  # the first pass decides n^ell against SIZE_LIMIT
+    if miss is not None or len(family._symbols) == p.k * p.n**p.ell:
+        return _report(miss)
+    return _report(_first_offense(keys, p.k, p.n, p.ell, {1}), Verdict.COVER_ONLY)
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,9 @@ def validated_families(monkeypatch) -> list[int]:
         sizes.append(len(family.blocks))
         validate(family)
 
-    def counted_symbols(cls, params, symbols, distinct):
+    def counted_symbols(cls, params, symbols, *rest):  # distinct, and a parse's start
         sizes.append(len(symbols) // params.k)
-        return from_symbols(cls, params, symbols, distinct)
+        return from_symbols(cls, params, symbols, *rest)
 
     monkeypatch.setattr(BlockFamily, "__post_init__", counted)
     monkeypatch.setattr(BlockFamily, "_from_symbols", classmethod(counted_symbols))

@@ -1,10 +1,13 @@
+import contextlib
 import functools
+import io
 import os
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,16 +17,21 @@ from hypothesis import strategies as st
 from test_differential import damaged_text
 
 import partite
-from partite import _runs, formats
+from partite import _runs, core, formats, verify
 from partite import (
     BlockFamily,
     CubeSet,
+    Params,
+    Verdict,
     are_mutually_orthogonal,
     blocks_to_mols,
+    build_covering,
     construct,
     extract_cubes,
+    is_covering,
     is_l_extendable,
     lift_cubes,
+    lifting_order,
     orthogonal_not_invertible_cubes,
 )
 from partite.cli import (
@@ -34,6 +42,7 @@ from partite.cli import (
     parse_cubes,
 )
 from partite.cubes import ORTHOGONAL_NOT_INVERTIBLE_PATH
+from partite.formats import format_witness
 
 FIXTURE = str(ORTHOGONAL_NOT_INVERTIBLE_PATH)
 
@@ -843,3 +852,64 @@ def test_cube_header_with_a_zero_dimension_exits_2(tmp_path, capsys, text, messa
     path.write_text(text)
     assert main(["cubes", str(path), "--check", "latin"]) == 2
     assert capsys.readouterr() == ("", message)
+
+
+@st.composite
+def cover_check_families(draw):
+    """A small exact family or cover, maybe with one row dropped or doubled; n = 1 included."""
+    ell = draw(st.integers(1, 3))
+    k, n = draw(st.integers(ell, 5)), draw(st.integers(1, 7))
+    rows = (construct if lifting_order(k, n, ell) == n else build_covering)(k, n, ell).blocks
+    damage = draw(st.sampled_from(["none", "dropped", "doubled"]))
+    if damage != "none":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows = rows[:i] + rows[i + 1 :] if damage == "dropped" else rows[: i + 1] + rows[i:]
+    return BlockFamily(Params(k, n, ell), rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cover_check_families())
+def test_cover_check_prints_what_is_covering_decides(family):
+    # the check runs only the pass that finds the first MISS: an Exact and a
+    # CoverOnly report both print OK, and a Fail report prints its witness
+    report = is_covering(family)
+    line = "OK" if report.verdict is not Verdict.FAIL else format_witness(report.witness)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "f.blocks"
+        path.write_text(format_blocks(family))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", str(path), "--mode", "cover"])
+    assert (out.getvalue(), code) == (line + "\n", int(report.verdict is Verdict.FAIL))
+
+
+def test_cover_check_runs_one_kernel_pass(monkeypatch, tmp_path, capsys):
+    # an over-covered family prints OK, so no pass looks for its first DUP
+    path = tmp_path / "c.blocks"
+    path.write_text(format_blocks(build_covering(7, 40, 3)))
+    allowed, first_offense = [], verify._first_offense
+    monkeypatch.setattr(verify, "_first_offense",
+                        lambda *args: allowed.append(args[4]) or first_offense(*args))
+    assert main(["verify", str(path), "--mode", "cover"]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    assert allowed == [{1, 2}]
+
+
+BADSYM_BLOCKS = _last_token(format_blocks(construct(7, 49, 3)), "50")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_late_bad_symbol_is_searched_from_its_span(monkeypatch, cpus):
+    # each span reports its own least and greatest symbol, so on two CPUs the
+    # search for the one symbol outside 1..49 starts at the second span's first row
+    monkeypatch.setattr(_runs, "_cpus", lambda: cpus)
+    within, read = core._within, []
+    monkeypatch.setattr(core, "_within", lambda values, top: (
+        read.append(len(values)) if isinstance(values, array) else None) or within(values, top))
+    with pytest.raises(ValueError) as refusal:
+        parse_blocks(BADSYM_BLOCKS)
+    last = tuple(map(int, BADSYM_BLOCKS.rsplit("\n", 2)[1].split()))
+    assert str(refusal.value) == f"symbol 50 outside 1..49 in block {last}"
+    head = BADSYM_BLOCKS.index("\n") + 1
+    cut = formats._past(formats._NEWLINE, BADSYM_BLOCKS, max(head, len(BADSYM_BLOCKS) // cpus))
+    later_rows = 49**3 - BADSYM_BLOCKS.count("\n", head, cut) if cpus > 1 else 49**3
+    assert 0 < sum(read) <= 7 * later_rows

@@ -460,3 +460,18 @@ def test_failed_fork_leaves_its_run_to_this_process(split, monkeypatch):
     assert is_l_extendable(family).witness == serial_witness(family)
     assert len(forks) == 2
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("damage", ["dropped", "doubled"])
+def test_exact_check_off_the_row_count_skips_the_mark_pass(monkeypatch, damage):
+    # allowing only count 1, a subset over other than n^ell rows fails whatever
+    # the marks say, so it goes to the counting loop without a mark pass
+    rows = construct(5, 7, 2).blocks
+    damaged = rows[:20] + rows[21:] if damage == "dropped" else rows[:21] + rows[20:]
+    family = BlockFamily(Params(5, 7, 2), damaged)
+    calls = []
+    every_cell = verify._every_cell
+    monkeypatch.setattr(verify, "_every_cell", lambda *args: calls.append(args) or every_cell(*args))
+    w = is_l_extendable(family).witness
+    assert calls == []
+    assert (w.index_set, w.values, w.multiplicity) == first_projection_offense(family)
